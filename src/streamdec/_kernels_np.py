@@ -3,9 +3,12 @@
 Lane s of column axis F is one frame.  The per-lane arithmetic order is
 the contract shared with the numba kernels: checks are visited in
 ascending row order, edges in row order, and variable sums accumulate
-in column-adjacency position order.  With early termination, converged
-lanes freeze: their messages, posteriors and bits are never written
-again.
+in column-adjacency position order.  The layered kernel runs the rows
+level by level (``ParityCheckCode.levels``): levels run in order and
+rows within a level share no variable, so each level is one vectorised
+step with the ascending-row result.  Every check-node update goes
+through ``_check_messages``.  With early termination, converged lanes
+freeze: their messages, posteriors and bits are never written again.
 """
 
 from __future__ import annotations
@@ -93,52 +96,44 @@ def decode_flooding(code, llr, max_iters, early_term, norm, clamp):
     return bits, iters, ok, post
 
 
-def _layered_row_update(code, j, post, msg, norm, clamp, active=None):
-    """One in-place layered row update; ``active`` selects lanes to commit."""
-    lo, hi = int(code.row_ptr[j]), int(code.row_ptr[j + 1])
-    idx = code.edge_var[lo:hi]
-    d = hi - lo
-    ext = post[idx, :] - msg[lo:hi, :]
-    if d == 1:
-        new = np.full((1, ext.shape[1]), norm * clamp)
-    else:
-        a = np.abs(ext)
-        first = np.argmin(a, axis=0)
-        min1 = np.take_along_axis(a, first[None, :], axis=0)[0]
-        rest = a.copy()
-        np.put_along_axis(rest, first[None, :], np.inf, axis=0)
-        min2 = rest.min(axis=0)
-        neg = ext < 0.0
-        total_sign = 1.0 - 2.0 * (neg.sum(axis=0) & 1)
-        mag = np.where(np.arange(d)[:, None] == first[None, :],
-                       min2[None, :], min1[None, :])
-        new = norm * (total_sign[None, :] * np.where(neg, -1.0, 1.0) * mag)
-        np.clip(new, -clamp, clamp, out=new)
+def _layered_level(code, rows, post, msg, norm, clamp):
+    """Update the rows of one level in place; they share no variable."""
+    edges = code.row_pad_edge[rows]
+    mask = code.row_pad_mask[rows]
+    var = code.edge_var[edges]
+    ext = post[var, :] - msg[edges, :]
+    new = _check_messages(ext, mask, norm, clamp)
+    new[code.row_degrees[rows] == 1, 0, :] = norm * clamp
     new_post = ext + new
     np.clip(new_post, -clamp, clamp, out=new_post)
-    if active is None:
-        msg[lo:hi, :] = new
-        post[idx, :] = new_post
-    else:
-        msg[lo:hi, active] = new[:, active]
-        post[np.ix_(idx, np.nonzero(active)[0])] = new_post[:, active]
+    msg[edges[mask], :] = new[mask]
+    post[var[mask], :] = new_post[mask]
 
 
 def decode_layered(code, llr, max_iters, early_term, norm, clamp):
-    """Horizontal layered min-sum, rows ascending, posteriors updated in place."""
+    """Horizontal layered min-sum, posteriors updated in place.
+
+    Each sweep runs ``code.levels`` in order, one vectorised step per
+    level.  Rows within a level share no variable, so the result equals
+    visiting the rows one by one in ascending order.
+    """
     n, nf = llr.shape
     post = np.clip(llr, -clamp, clamp)
-    msg = np.zeros((code.edge_count, nf))
     bits = np.zeros((n, nf), dtype=np.uint8)
     iters = np.full(nf, max_iters, dtype=np.int64)
     ok = np.zeros(nf, dtype=bool)
     active = np.ones(nf, dtype=bool)
+    # the lanes still decoding, whose columns the working arrays hold: all of
+    # them, in place, until the first lane freezes
+    live = np.arange(nf)
+    work_post, work_msg = post, np.zeros((code.edge_count, nf))
 
     for it in range(1, max_iters + 1):
-        lanes = None if active.all() else active
-        for j in range(code.m):
-            _layered_row_update(code, j, post, msg, norm, clamp, lanes)
-        bits[:, active] = (post[:, active] < 0.0)
+        for rows in code.levels:
+            _layered_level(code, rows, work_post, work_msg, norm, clamp)
+        if work_post is not post:
+            post[:, live] = work_post
+        bits[:, live] = (work_post < 0.0)
 
         if early_term:
             converged = active & _syndrome_ok_lanes(code, bits)
@@ -147,6 +142,10 @@ def decode_layered(code, llr, max_iters, early_term, norm, clamp):
             active &= ~converged
             if not active.any():
                 break
+            if converged.any():
+                keep = active[live]
+                live = live[keep]
+                work_post, work_msg = work_post[:, keep], work_msg[:, keep]
 
     if not early_term:
         ok[:] = _syndrome_ok_lanes(code, bits)

@@ -3,8 +3,10 @@
 The jitted loops release the GIL so stream workers scale across cores.
 Kernels follow the exact arithmetic order documented in _kernels_np:
 ascending rows, edges in row order, variable sums in column-position
-order.  First call per signature pays JIT compilation; cache=True keeps
-the result on disk.
+order.  They visit the rows one by one, so they also serve as the
+reference for the numpy kernel's level schedule; without numba they
+import with a no-op ``njit`` and run as plain Python.  First call per
+signature pays JIT compilation; cache=True keeps the result on disk.
 """
 
 from __future__ import annotations
@@ -22,6 +24,18 @@ except ImportError:  # pragma: no cover - plain-python stand-in
 NAME = "numba"
 
 _INF = np.inf
+
+
+@njit(cache=True, nogil=True)
+def _syndrome_ok(row_ptr, edge_var, bits, s):
+    """True iff lane s of the hard bits satisfies every check."""
+    for j in range(row_ptr.shape[0] - 1):
+        p = 0
+        for t in range(row_ptr[j], row_ptr[j + 1]):
+            p ^= bits[edge_var[t], s]
+        if p:
+            return False
+    return True
 
 
 @njit(cache=True, nogil=True)
@@ -132,39 +146,16 @@ def _flooding_kernel(row_ptr, edge_var, col_ptr, col_edge, llr,
 
         if early_term:
             for s in range(nf):
-                if not active[s]:
-                    continue
-                good = True
-                for j in range(m):
-                    p = 0
-                    for t in range(row_ptr[j], row_ptr[j + 1]):
-                        p ^= bits[edge_var[t], s]
-                    if p:
-                        good = False
-                        break
-                if good:
+                if active[s] and _syndrome_ok(row_ptr, edge_var, bits, s):
                     active[s] = False
                     iters[s] = it
                     ok[s] = True
-            done = True
-            for s in range(nf):
-                if active[s]:
-                    done = False
-                    break
-            if done:
+            if not active.any():
                 break
 
     if not early_term:
         for s in range(nf):
-            good = True
-            for j in range(m):
-                p = 0
-                for t in range(row_ptr[j], row_ptr[j + 1]):
-                    p ^= bits[edge_var[t], s]
-                if p:
-                    good = False
-                    break
-            ok[s] = good
+            ok[s] = _syndrome_ok(row_ptr, edge_var, bits, s)
     return bits, iters, ok, post
 
 
@@ -269,39 +260,16 @@ def _layered_kernel(row_ptr, edge_var, llr, max_iters, early_term, norm, clamp):
 
         if early_term:
             for s in range(nf):
-                if not active[s]:
-                    continue
-                good = True
-                for j in range(m):
-                    p = 0
-                    for t in range(row_ptr[j], row_ptr[j + 1]):
-                        p ^= bits[edge_var[t], s]
-                    if p:
-                        good = False
-                        break
-                if good:
+                if active[s] and _syndrome_ok(row_ptr, edge_var, bits, s):
                     active[s] = False
                     iters[s] = it
                     ok[s] = True
-            done = True
-            for s in range(nf):
-                if active[s]:
-                    done = False
-                    break
-            if done:
+            if not active.any():
                 break
 
     if not early_term:
         for s in range(nf):
-            good = True
-            for j in range(m):
-                p = 0
-                for t in range(row_ptr[j], row_ptr[j + 1]):
-                    p ^= bits[edge_var[t], s]
-                if p:
-                    good = False
-                    break
-            ok[s] = good
+            ok[s] = _syndrome_ok(row_ptr, edge_var, bits, s)
     return bits, iters, ok, post
 
 

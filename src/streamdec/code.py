@@ -5,7 +5,7 @@ matrix.  Edge ids are assigned in row-major order: edge ``row_ptr[j] + t``
 is the t-th entry of check j, so every (check, position) pair maps to a
 unique flat id and back.  Kernels consume the flat CSR-style arrays
 (``row_ptr``/``edge_var`` and ``col_ptr``/``col_edge``) plus padded
-per-node views used by the vectorized numpy paths.
+per-node views and the row levels used by the vectorized numpy paths.
 """
 
 from __future__ import annotations
@@ -113,10 +113,23 @@ class ParityCheckCode:
             self.col_pad_edge[i, :d] = self.col_edge[lo:lo + d]
             self.col_pad_mask[i, :d] = True
 
+        # level schedule for layered decoding: a row's level is 1 + the largest
+        # level of any earlier row sharing one of its variables, so rows within
+        # a level share no variable, and running the levels in order gives
+        # exactly the ascending-row result
+        row_level = np.empty(self.m, dtype=np.int64)
+        var_level = np.full(self.n, -1, dtype=np.int64)
+        for j, r in enumerate(rows):
+            vs = list(r)
+            row_level[j] = lvl = var_level[vs].max() + 1
+            var_level[vs] = lvl
+        self.levels = tuple(np.nonzero(row_level == k)[0].astype(np.int32)
+                            for k in range(int(row_level.max()) + 1))
+
         for a in (self.row_ptr, self.edge_var, self.col_ptr, self.col_edge,
                   self.row_degrees, self.col_degrees, self.deg1_rows,
                   self.row_pad_edge, self.row_pad_mask,
-                  self.col_pad_edge, self.col_pad_mask):
+                  self.col_pad_edge, self.col_pad_mask, *self.levels):
             a.setflags(write=False)
 
     def edge_id(self, check: int, pos: int) -> int:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels_np import _check_messages
 from .backend import get_kernels
 from .code import ParityCheckCode
 
@@ -71,9 +72,9 @@ def check_node_update(values, normalization: float = 1.0) -> np.ndarray:
     """Leave-one-out min-sum row update.
 
     Output k carries the product of the other signs times the minimum of
-    the other magnitudes, scaled by ``normalization``.  Implemented with
-    the two-smallest-magnitudes sweep; exactly equal to the naive
-    leave-one-out computation.
+    the other magnitudes, scaled by ``normalization``.  One row of the
+    kernels' two-smallest-magnitudes update (unclamped); exactly equal to
+    the naive leave-one-out computation.
 
     Parameters
     ----------
@@ -85,16 +86,9 @@ def check_node_update(values, normalization: float = 1.0) -> np.ndarray:
         raise ValueError("check_node_update needs a 1-D vector of >= 2 values")
     if not np.isfinite(x).all():
         raise ValueError("incoming values must be finite")
-    a = np.abs(x)
-    first = int(np.argmin(a))
-    min1 = a[first]
-    rest = a.copy()
-    rest[first] = np.inf
-    min2 = rest.min()
-    neg = x < 0.0
-    total_sign = 1.0 - 2.0 * (int(neg.sum()) & 1)
-    mag = np.where(np.arange(x.size) == first, min2, min1)
-    return normalization * (total_sign * np.where(neg, -1.0, 1.0) * mag)
+    row = x[None, :, None]
+    return _check_messages(row, np.ones(row.shape[:2], dtype=bool),
+                           normalization, np.inf)[0, :, 0]
 
 
 def _decode_lanes(code: ParityCheckCode, lanes: np.ndarray, config: DecoderConfig,
@@ -114,8 +108,7 @@ def _decode_single(code, frame, config, backend, schedule):
     llr = np.asarray(frame, dtype=np.float64)
     if llr.shape != (code.n,):
         raise ValueError(f"frame must have shape ({code.n},)")
-    cfg = config if config.schedule == schedule else None
-    if cfg is None:
+    if config.schedule != schedule:
         raise ValueError(f"config.schedule is {config.schedule!r}, expected {schedule!r}")
     bits, iters, ok, _ = _decode_lanes(code, llr.reshape(code.n, 1), config, backend)
     return DecodeOutcome(bits=bits[:, 0].copy(), iterations_run=int(iters[0]),
@@ -137,6 +130,4 @@ def decode_layered(code: ParityCheckCode, frame, config: DecoderConfig,
 def decode_frame(code: ParityCheckCode, frame, config: DecoderConfig,
                  backend: str | None = None) -> DecodeOutcome:
     """Decode with whichever schedule the config selects."""
-    if config.schedule == "flooding":
-        return decode_flooding(code, frame, config, backend)
-    return decode_layered(code, frame, config, backend)
+    return _decode_single(code, frame, config, backend, config.schedule)

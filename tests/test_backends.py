@@ -7,12 +7,14 @@ from streamdec import (
     AwgnChannel,
     DecoderConfig,
     decode_batch,
+    from_dense,
     interleave,
     llr_from_channel,
     modulate_bpsk,
     random_regular_code,
     transmit,
 )
+from streamdec import _kernels_np, _kernels_numba
 from streamdec.backend import HAVE_NUMBA, active_backend, available_backends, get_kernels
 
 needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba not importable")
@@ -91,3 +93,35 @@ def test_backends_identical_with_degree_one_checks():
         for x, y in zip(a, b):
             assert np.array_equal(x.bits, y.bits)
             assert x.iterations_run == y.iterations_run
+
+
+def _irregular_code(rng, m, n):
+    """Random code with varied row and column degrees and one degree-1 row."""
+    while True:
+        h = (rng.random((m, n)) < 0.3).astype(np.uint8)
+        h[0] = 0
+        h[0, rng.integers(n)] = 1
+        if h.any(axis=0).all() and h.any(axis=1).all():
+            return from_dense(h)
+
+
+@pytest.mark.parametrize("schedule", ["flooding", "layered"])
+@pytest.mark.parametrize("early", [True, False])
+def test_row_loop_kernels_match_numpy(schedule, early):
+    # _kernels_numba imports without numba too (its njit then returns the
+    # plain function), so its row-by-row loops check the vectorised numpy
+    # kernels on every host
+    rng = np.random.default_rng(17)
+    staggered = False
+    for _ in range(4):
+        code = _irregular_code(rng, 12, 24)
+        f = int(rng.integers(2, 9))
+        llr = 1.0 + rng.normal(0, 1.5, (code.n, f))
+        args = (code, llr, 8, early, 0.75, 12.0)
+        want = getattr(_kernels_np, f"decode_{schedule}")(*args)
+        got = getattr(_kernels_numba, f"decode_{schedule}")(*args)
+        for a, b in zip(want, got):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        staggered |= len(set(want[1].tolist())) > 1
+    if early:  # lanes froze at different sweeps in at least one case
+        assert staggered

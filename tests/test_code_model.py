@@ -83,6 +83,22 @@ def test_transpose_consistency(code10):
             assert j in code10.col_adj[i]
 
 
+def test_levels_follow_row_dependencies(code10):
+    # level = 1 + the largest level of any earlier row sharing a variable,
+    # so rows within a level share none and every level is ascending
+    irregular = ParityCheckCode([[3], [0, 1, 2], [2, 3], [4, 5], [1, 4], [0, 5]], 6)
+    for code in (code10, irregular, random_regular_code(96, 48, 6, seed=1)):
+        level = {}
+        for lvl, rows in enumerate(code.levels):
+            assert not rows.flags.writeable
+            assert rows.tolist() == sorted(rows.tolist())
+            level.update((int(j), lvl) for j in rows)
+        assert sorted(level) == list(range(code.m))
+        for j, vs in enumerate(code.row_adj):
+            deps = [level[k] for k in range(j) if set(code.row_adj[k]) & set(vs)]
+            assert level[j] == 1 + max(deps, default=-1)
+
+
 @pytest.mark.parametrize("flips,expected", [
     ((), [0, 0, 0, 0, 0]),
     ((0,), [1, 1, 0, 0, 0]),

@@ -14,7 +14,7 @@ from streamdec import (
     random_regular_code,
     syndrome,
 )
-from streamdec._kernels_np import _layered_row_update, decode_flooding as np_flood
+from streamdec._kernels_np import _layered_level, decode_flooding as np_flood
 from streamdec.channel import AwgnChannel, llr_from_channel, modulate_bpsk, transmit
 
 from oracles import H_EXAMPLE, naive_check_node_update
@@ -30,6 +30,12 @@ def code10():
 @pytest.fixture(scope="module")
 def code576():
     return random_regular_code(576, 288, 6, seed=21)
+
+
+@pytest.fixture(scope="module")
+def code40():
+    # levels of 5, 5, 5, 3, 1 and 1 rows
+    return random_regular_code(40, 20, 4, seed=5)
 
 
 def cfg(schedule, **kw):
@@ -216,32 +222,35 @@ def test_flooding_first_iteration_from_channel_only(code10):
         assert post[i, 0] == pytest.approx(np.clip(total, -64, 64), abs=1e-12)
 
 
-def test_layered_posterior_consistency_per_row(code10):
-    # after every single row update: posterior = channel + sum of incident
-    # stored messages, to float tolerance
+def test_layered_posterior_consistency_per_row(code10, code40):
+    # after every level step: posterior = channel + sum of incident stored
+    # messages, to float tolerance; each level of code10 is a single row
     rng = np.random.default_rng(45)
-    llr = rng.normal(0, 3, (10, 1))
-    post = np.clip(llr, -64, 64)
-    msg = np.zeros((code10.edge_count, 1))
-    for sweep in range(3):
-        for j in range(code10.m):
-            _layered_row_update(code10, j, post, msg, 1.0, 64.0)
-            for i in range(code10.n):
-                lo, hi = code10.col_ptr[i], code10.col_ptr[i + 1]
-                want = llr[i, 0] + msg[code10.col_edge[lo:hi], 0].sum()
-                assert post[i, 0] == pytest.approx(want, abs=1e-9)
-            assert np.abs(msg).max() <= 64.0
+    for code in (code10, code40):
+        llr = rng.normal(0, 3, (code.n, 2))
+        post = np.clip(llr, -64, 64)
+        msg = np.zeros((code.edge_count, 2))
+        for sweep in range(3):
+            for rows in code.levels:
+                _layered_level(code, rows, post, msg, 1.0, 64.0)
+                for i in range(code.n):
+                    lo, hi = code.col_ptr[i], code.col_ptr[i + 1]
+                    want = llr[i] + msg[code.col_edge[lo:hi]].sum(axis=0)
+                    assert post[i] == pytest.approx(want, abs=1e-9)
+                assert np.abs(msg).max() <= 64.0
 
 
-def test_layered_updates_are_immediate(code10):
-    # processing row 0 must change the posterior of its variables before
-    # any other row is touched
-    llr = np.full((10, 1), 2.0)
+def test_layered_updates_are_immediate(code40):
+    # the first level must change the posterior of exactly its rows'
+    # variables before any later level is touched
+    llr = np.full((code40.n, 1), 2.0)
     post = llr.copy()
-    msg = np.zeros((code10.edge_count, 1))
-    _layered_row_update(code10, 0, post, msg, 1.0, 64.0)
-    touched = list(code10.row_adj[0])
-    rest = [i for i in range(10) if i not in touched]
+    msg = np.zeros((code40.edge_count, 1))
+    first = code40.levels[0]
+    _layered_level(code40, first, post, msg, 1.0, 64.0)
+    touched = sorted({i for j in first for i in code40.row_adj[j]})
+    rest = [i for i in range(code40.n) if i not in touched]
+    assert len(first) > 1 and rest
     assert (post[touched, 0] != 2.0).all()
     assert (post[rest, 0] == 2.0).all()
 
