@@ -9,7 +9,7 @@ termination a converged lane freezes while the rest keep iterating.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,18 +41,26 @@ class FrameBatch:
 
 @dataclass(frozen=True)
 class BatchOutcome:
-    """Per-frame decode outcomes, in frame order."""
+    """Decode outcomes of F frames, in frame order, as arrays.
 
-    outcomes: tuple = field(default_factory=tuple)
+    bits is (F, n) uint8, the transpose view of the kernel's lane-major
+    output; iterations and syndrome_ok are (F,).  outcome[s] is frame s
+    as a DecodeOutcome whose bits is a view of row s.
+    """
+
+    bits: np.ndarray
+    iterations: np.ndarray
+    syndrome_ok: np.ndarray
 
     def __len__(self):
-        return len(self.outcomes)
+        return self.bits.shape[0]
 
-    def __getitem__(self, idx):
-        return self.outcomes[idx]
+    def __getitem__(self, s):
+        return DecodeOutcome(bits=self.bits[s], iterations_run=int(self.iterations[s]),
+                             syndrome_ok=bool(self.syndrome_ok[s]))
 
     def __iter__(self):
-        return iter(self.outcomes)
+        return (self[s] for s in range(len(self)))
 
 
 def interleave(frames) -> FrameBatch:
@@ -72,14 +80,6 @@ def deinterleave(batch: FrameBatch) -> np.ndarray:
     return batch.lanes().T.copy()
 
 
-def _materialize(bits, iters, ok) -> BatchOutcome:
-    nf = bits.shape[1]
-    return BatchOutcome(tuple(
-        DecodeOutcome(bits=bits[:, s].copy(), iterations_run=int(iters[s]),
-                      syndrome_ok=bool(ok[s]))
-        for s in range(nf)))
-
-
 def decode_batch(code: ParityCheckCode, batch: FrameBatch, config: DecoderConfig,
                  backend: str | None = None) -> BatchOutcome:
     """Decode all lanes of a batch in lockstep.
@@ -91,4 +91,4 @@ def decode_batch(code: ParityCheckCode, batch: FrameBatch, config: DecoderConfig
     if batch.n != code.n:
         raise ValueError(f"batch n ({batch.n}) does not match code n ({code.n})")
     bits, iters, ok, _ = _decode_lanes(code, batch.lanes(), config, backend)
-    return _materialize(bits, iters, ok)
+    return BatchOutcome(bits.T, iters, ok)

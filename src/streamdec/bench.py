@@ -128,15 +128,15 @@ def run_throughput(code: ParityCheckCode, decoder_config: DecoderConfig,
                            StreamConfig(w=w, f=f, queue_depth=queue_depth,
                                         backpressure="block"),
                            backend=backend)
-        drained = deque(maxlen=0)
-        drainer = threading.Thread(target=lambda: drained.extend(eng.collect()),
+        outcomes = eng.collect()
+        warm_up = [eng.submit(eng.make_job(pool[0])) for _ in range(w)]  # one per worker
+        assert all(status.accepted for status in warm_up)
+        for _ in warm_up:  # wait for the warm-up results and discard them
+            next(outcomes)
+        eng.reset_timers()
+        drainer = threading.Thread(target=lambda: deque(outcomes, maxlen=0),
                                    daemon=True)
         drainer.start()
-        for _ in range(w):  # one warm-up batch per worker, discarded
-            assert eng.submit(eng.make_job(pool[0])).accepted
-        while eng.resident_jobs() > 0:
-            time.sleep(0.001)
-        eng.reset_timers()
 
         t0 = time.perf_counter()
         if frames is not None:
@@ -173,18 +173,16 @@ def median_throughput(results: list[BenchResult]) -> float:
 
 
 def _point_llrs(code, gen, ch, messages, start, count, noiseless):
-    """LLR block (count, n) plus the codewords it was built from."""
+    """LLR block (count, n) of the encoded messages[start:start + count]."""
     block = np.empty((count, code.n), dtype=np.float64)
-    cws = np.empty((count, code.n), dtype=np.uint8)
     for j in range(count):
         cw = gen.encode(messages[start + j])
-        cws[j] = cw
         if noiseless:
             block[j] = 4.0 * (1.0 - 2.0 * cw.astype(np.float64))
         else:
             y = transmit(ch, modulate_bpsk(cw), frame_index=start + j)
             block[j] = llr_from_channel(ch, y)
-    return block, cws
+    return block
 
 
 def run_ber(code: ParityCheckCode, decoder_config: DecoderConfig,
@@ -217,15 +215,13 @@ def run_ber(code: ParityCheckCode, decoder_config: DecoderConfig,
         frame_errors = 0
         for start in range(0, frames, f):
             count = min(f, frames - start)
-            block, _ = _point_llrs(code, gen, ch, messages, start, count,
-                                   noiseless)
+            block = _point_llrs(code, gen, ch, messages, start, count, noiseless)
             outcome = decode_batch(code, interleave(block), decoder_config,
                                    backend=backend)
-            for j in range(count):
-                got = outcome[j].bits[gen.message_columns]
-                errs = int(np.count_nonzero(got != messages[start + j]))
-                bit_errors += errs
-                frame_errors += errs > 0
+            errs = np.count_nonzero(outcome.bits[:, gen.message_columns]
+                                    != messages[start:start + count], axis=1)
+            bit_errors += int(errs.sum())
+            frame_errors += int(np.count_nonzero(errs))
         out.append(BerResult(
             ebno_db=float(ebno), frames=frames, bit_errors=bit_errors,
             frame_errors=frame_errors, ber=bit_errors / (frames * k),
@@ -270,14 +266,13 @@ def run_compare_schedules(code: ParityCheckCode, ebno_list: list[float],
             lanes = interleave(block)
             for s, cfg in configs.items():
                 outcome = decode_batch(code, lanes, cfg, backend=backend)
-                for o in outcome:
-                    iters[s].append(o.iterations_run if o.syndrome_ok
-                                    else max_iterations)
-                    converged[s] += o.syndrome_ok
+                iters[s].append(np.where(outcome.syndrome_ok, outcome.iterations,
+                                         max_iterations))
+                converged[s] += int(np.count_nonzero(outcome.syndrome_ok))
         out.append(CompareResult(
             ebno_db=float(ebno), frames=frames,
-            mean_iters_flooding=float(np.mean(iters["flooding"])),
-            mean_iters_layered=float(np.mean(iters["layered"])),
+            mean_iters_flooding=float(np.mean(np.concatenate(iters["flooding"]))),
+            mean_iters_layered=float(np.mean(np.concatenate(iters["layered"]))),
             converged_flooding=converged["flooding"],
             converged_layered=converged["layered"]))
     return out

@@ -1,26 +1,30 @@
 """Multi-stream decode engine.
 
-W worker threads each own a bounded input queue and run the full
+W worker threads each own a bounded FIFO of jobs and run the full
 interleave / lockstep-decode / deinterleave pipeline per job.  Because
 the jitted kernels release the GIL, streams overlap on real cores.
 Dispatch picks the least-loaded stream (queued plus in-flight), breaking
 ties round-robin, so equally idle streams are filled in rotation.
 
-Accounting is strict: every accepted job is eventually either completed
-(its outcome is collectable) or cancelled at shutdown, and the engine
-never holds more than w * queue_depth + w jobs.
+One lock guards all shared state, and threads wait only on conditions
+of that lock, so nothing polls.  Every accepted job ends completed
+(collectable), cancelled at shutdown, or failed (its worker raised):
+accepted = completed + cancelled + failed, and the engine never holds
+more than w * queue_depth + w jobs.  A job id is live until its result
+is collected or the job is cancelled or fails; a live id is refused as
+a duplicate, and a retired one may be reused.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .batch import _materialize, interleave
+from .batch import BatchOutcome, interleave
 from .code import ParityCheckCode
 from .decoder import DecoderConfig, _decode_lanes
 
@@ -59,7 +63,11 @@ class StreamConfig:
 
 @dataclass
 class DecodeJob:
-    """One batch of f frames; job_id must be unique per engine."""
+    """One batch of f frames; submitted_at is a time.perf_counter() reading.
+
+    job_id must not be live: accepted and not yet collected, cancelled or
+    failed.  It may be reused once its result has been collected.
+    """
 
     job_id: int
     frames: np.ndarray
@@ -75,20 +83,25 @@ class SubmitStatus:
 
 @dataclass(frozen=True)
 class ShutdownSummary:
+    """Fate of every accepted job: accepted = completed + cancelled + failed."""
+
     accepted: int
     completed: int
     cancelled: int
     cancelled_job_ids: tuple = field(default_factory=tuple)
+    failed: int = 0
+    failed_job_ids: tuple = field(default_factory=tuple)
 
 
 class _Stream:
-    __slots__ = ("index", "q", "thread", "outstanding")
+    __slots__ = ("index", "jobs", "busy", "ready", "thread")
 
-    def __init__(self, index, depth):
+    def __init__(self, index, lock):
         self.index = index
-        self.q = queue.Queue(maxsize=depth)
+        self.jobs = deque()  # (job_id, frames), at most queue_depth long
+        self.busy = False  # a job is in flight
+        self.ready = threading.Condition(lock)  # jobs queued or engine stopping
         self.thread = None
-        self.outstanding = 0
 
 
 class Engine:
@@ -103,19 +116,18 @@ class Engine:
         self.backend = backend
         self._job_hook = job_hook  # instrumentation: called with each job at start
         self._lock = threading.Lock()
-        self._shutdown_lock = threading.Lock()
-        self._results = queue.Queue()
-        self._streams = [_Stream(i, stream_config.queue_depth)
-                         for i in range(stream_config.w)]
+        self._space = threading.Condition(self._lock)  # a queue slot freed, or stopping
+        self._done = threading.Condition(self._lock)  # a result arrived, or the summary
+        self._results = deque()
+        self._streams = [_Stream(i, self._lock) for i in range(stream_config.w)]
         self._rr = stream_config.w - 1  # so the first pick lands on stream 0
         self._accepted = 0
         self._completed = 0
-        self._delivered = 0
+        self._failures = []  # (job_id, exception), in the order they happened
         self._next_id = 0
-        self._seen_ids = set()
+        self._live_ids = set()
         self._stopping = False
         self._summary: ShutdownSummary | None = None
-        self._worker_errors: list = []
         self._timers = {"interleave": 0.0, "decode": 0.0, "deinterleave": 0.0,
                         "batches": 0}
         for st in self._streams:
@@ -133,23 +145,16 @@ class Engine:
 
     def make_job(self, frames) -> DecodeJob:
         return DecodeJob(job_id=self.next_job_id(), frames=frames,
-                         submitted_at=time.time())
+                         submitted_at=time.perf_counter())
 
     # -- submission ------------------------------------------------------
 
     def _select_stream(self):
-        """Least outstanding among streams with queue space, tie round-robin."""
-        w = self.stream_config.w
-        depth = self.stream_config.queue_depth
-        best = None
-        best_load = None
-        for off in range(1, w + 1):
-            st = self._streams[(self._rr + off) % w]
-            if st.q.qsize() >= depth:
-                continue
-            if best_load is None or st.outstanding < best_load:
-                best, best_load = st, st.outstanding
-        return best
+        """Least loaded among streams with queue space, tie round-robin."""
+        rotated = self._streams[self._rr + 1:] + self._streams[:self._rr + 1]
+        return min((st for st in rotated
+                    if len(st.jobs) < self.stream_config.queue_depth),
+                   key=lambda st: len(st.jobs) + st.busy, default=None)
 
     def submit(self, job: DecodeJob) -> SubmitStatus:
         """Queue one job; blocks or rejects when every stream is full."""
@@ -160,58 +165,64 @@ class Engine:
                                 f"frames shape {frames.shape} != expected {want}")
         if not np.isfinite(frames).all():
             return SubmitStatus(False, None, "frames contain non-finite values")
-        while True:
-            with self._lock:
+        with self._lock:
+            while True:
                 if self._stopping:
                     return SubmitStatus(False, None, "engine stopped")
-                if job.job_id in self._seen_ids:
+                if job.job_id in self._live_ids:
                     return SubmitStatus(False, None, f"duplicate job_id {job.job_id}")
                 st = self._select_stream()
                 if st is not None:
-                    if job.submitted_at is None:
-                        job.submitted_at = time.time()
-                    st.q.put_nowait((job.job_id, frames))
-                    st.outstanding += 1
-                    self._accepted += 1
-                    self._seen_ids.add(job.job_id)
-                    self._rr = st.index
-                    return SubmitStatus(True, st.index, None)
+                    break
                 if self.stream_config.backpressure == "reject":
                     return SubmitStatus(False, None, "queues full")
-            time.sleep(0.002)
+                self._space.wait()
+            if job.submitted_at is None:
+                job.submitted_at = time.perf_counter()
+            st.jobs.append((job.job_id, frames))
+            st.ready.notify()
+            self._accepted += 1
+            self._live_ids.add(job.job_id)
+            self._rr = st.index
+            return SubmitStatus(True, st.index, None)
 
     # -- worker ----------------------------------------------------------
 
     def _worker(self, st: _Stream):
         while True:
-            item = st.q.get()
-            if item is None:
-                return
-            job_id, frames = item
+            with self._lock:
+                st.ready.wait_for(lambda: st.jobs or self._stopping)
+                if not st.jobs:
+                    return
+                job_id, frames = st.jobs.popleft()
+                st.busy = True
+                self._space.notify_all()
             try:
                 if self._job_hook is not None:
                     self._job_hook(job_id)
                 t0 = time.perf_counter()
                 batch = interleave(frames)
                 t1 = time.perf_counter()
-                raw = _decode_lanes(self.code, batch.lanes(), self.decoder_config,
-                                    self.backend)
+                bits, iters, ok, _ = _decode_lanes(self.code, batch.lanes(),
+                                                   self.decoder_config, self.backend)
                 t2 = time.perf_counter()
-                outcome = _materialize(*raw[:3])
+                outcome = BatchOutcome(bits.T, iters, ok)
                 t3 = time.perf_counter()
             except Exception as exc:  # decode bugs must surface at shutdown
                 with self._lock:
-                    st.outstanding -= 1
-                    self._worker_errors.append((job_id, exc))
+                    st.busy = False
+                    self._failures.append((job_id, exc))
+                    self._live_ids.discard(job_id)
                 continue
             with self._lock:
-                st.outstanding -= 1
+                st.busy = False
                 self._completed += 1
                 self._timers["interleave"] += t1 - t0
                 self._timers["decode"] += t2 - t1
                 self._timers["deinterleave"] += t3 - t2
                 self._timers["batches"] += 1
-            self._results.put((job_id, outcome))
+                self._results.append((job_id, outcome))
+                self._done.notify_all()
 
     # -- collection --------------------------------------------------------
 
@@ -223,16 +234,11 @@ class Engine:
         """
         while True:
             with self._lock:
-                finished = (self._summary is not None
-                            and self._delivered >= self._completed)
-            if finished and self._results.empty():
-                return
-            try:
-                item = self._results.get(timeout=0.05)
-            except queue.Empty:
-                continue
-            with self._lock:
-                self._delivered += 1
+                self._done.wait_for(lambda: self._results or self._summary is not None)
+                if not self._results:
+                    return
+                item = self._results.popleft()
+                self._live_ids.discard(item[0])
             yield item
 
     # -- shutdown ----------------------------------------------------------
@@ -241,51 +247,47 @@ class Engine:
         """Stop accepting work; drain or cancel what is queued.
 
         drain=True decodes everything already accepted; drain=False
-        cancels queued (never in-flight) jobs and reports their ids.
-        Subsequent calls return the same summary.
+        cancels queued (never in-flight) jobs and reports their ids.  After
+        a failed job the first call stores the summary, then raises
+        RuntimeError; every other call returns the stored summary.
         """
-        with self._shutdown_lock:
-            if self._summary is not None:
+        with self._lock:
+            if self._stopping:
+                self._done.wait_for(lambda: self._summary is not None)
                 return self._summary
-            with self._lock:
-                self._stopping = True
-            cancelled_ids = []
-            if not drain:
-                for st in self._streams:
-                    while True:
-                        try:
-                            item = st.q.get_nowait()
-                        except queue.Empty:
-                            break
-                        if item is None:
-                            continue
-                        cancelled_ids.append(item[0])
-                        with self._lock:
-                            st.outstanding -= 1
+            self._stopping = True
+            cancelled = []
             for st in self._streams:
-                st.q.put(None)
-            for st in self._streams:
-                st.thread.join()
-            if self._worker_errors:
-                job_id, exc = self._worker_errors[0]
-                raise RuntimeError(f"worker failed on job {job_id}: {exc!r}") from exc
-            with self._lock:
-                summary = ShutdownSummary(
-                    accepted=self._accepted,
-                    completed=self._completed,
-                    cancelled=len(cancelled_ids),
-                    cancelled_job_ids=tuple(cancelled_ids),
-                )
-                self._summary = summary
-            return summary
+                if not drain:
+                    cancelled.extend(job_id for job_id, _ in st.jobs)
+                    st.jobs.clear()
+                st.ready.notify()
+            self._live_ids.difference_update(cancelled)
+            self._space.notify_all()
+        for st in self._streams:
+            st.thread.join()
+        with self._lock:
+            failed_ids = tuple(job_id for job_id, _ in self._failures)
+            self._summary = ShutdownSummary(
+                accepted=self._accepted,
+                completed=self._completed,
+                cancelled=len(cancelled),
+                cancelled_job_ids=tuple(cancelled),
+                failed=len(failed_ids),
+                failed_job_ids=failed_ids,
+            )
+            self._done.notify_all()
+        if self._failures:
+            job_id, exc = self._failures[0]
+            raise RuntimeError(f"worker failed on job {job_id}: {exc!r}") from exc
+        return self._summary
 
     # -- introspection -------------------------------------------------------
 
     def resident_jobs(self) -> int:
         """Jobs currently held (queued + in-flight)."""
         with self._lock:
-            return self._accepted - self._completed - (
-                len(self._summary.cancelled_job_ids) if self._summary else 0)
+            return sum(len(st.jobs) + st.busy for st in self._streams)
 
     def phase_totals(self) -> dict:
         """Aggregate busy seconds per pipeline phase across all workers."""

@@ -152,8 +152,10 @@ def test_c05_stream_determinism():
 
 
 def test_c06_conservation_at_shutdown():
-    with check(6, "<30s", "accepted = completed + cancelled over 100 randomized trials"):
+    with check(6, "<30s", "accepted = completed + cancelled + failed over 100 "
+                          "randomized trials, a third with injected failures"):
         rng = np.random.default_rng(99)
+        fail_rng = np.random.default_rng(98)  # keeps rng's trial draws as they were
         payloads = noisy_frames(CODE10, 80, 3.0, seed=1).reshape(40, 2, 10)
         cfg = DecoderConfig(schedule="layered", max_iterations=10,
                             early_termination=True)
@@ -161,9 +163,19 @@ def test_c06_conservation_at_shutdown():
             w = int(rng.integers(1, 5))
             depth = int(rng.integers(1, 4))
             policy = ("block", "reject")[int(rng.integers(2))]
+            bad = set()
+            if fail_rng.integers(3) == 0:
+                bad = set(fail_rng.choice(40, size=int(fail_rng.integers(1, 6)),
+                                          replace=False).tolist())
+
+            def hook(jid, bad=bad):
+                if jid in bad:
+                    raise RuntimeError(f"injected failure on job {jid}")
+
             eng = engine_start(CODE10, cfg,
                                StreamConfig(w=w, f=2, queue_depth=depth,
-                                            backpressure=policy))
+                                            backpressure=policy),
+                               job_hook=hook)
             target = int(rng.integers(0, 40))
             accepted_ids = []
             for i in range(target):
@@ -171,13 +183,27 @@ def test_c06_conservation_at_shutdown():
                     accepted_ids.append(i)
             if rng.integers(2):
                 time.sleep(float(rng.uniform(0, 0.005)))
-            summary = eng.shutdown(drain=bool(rng.integers(2)))
+            drain = bool(rng.integers(2))
+            try:
+                summary = eng.shutdown(drain=drain)
+                raised = False
+            except RuntimeError as exc:
+                assert "injected failure" in str(exc)
+                raised = True
+                summary = eng.shutdown(drain=drain)
+            assert raised == (summary.failed > 0)
+            assert summary.failed == len(summary.failed_job_ids)
+            assert set(summary.failed_job_ids) <= bad
+            if drain:
+                assert set(summary.failed_job_ids) == bad & set(accepted_ids)
             assert summary.accepted == len(accepted_ids)
-            assert summary.accepted == summary.completed + summary.cancelled
+            assert summary.accepted == (summary.completed + summary.cancelled
+                                        + summary.failed)
             collected = [jid for jid, _ in eng.collect()]
             assert len(collected) == len(set(collected)) == summary.completed
-            assert sorted(collected + list(summary.cancelled_job_ids)) \
-                == accepted_ids
+            assert sorted(collected + list(summary.cancelled_job_ids)
+                          + list(summary.failed_job_ids)) == accepted_ids
+            assert eng.resident_jobs() == 0
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 4,

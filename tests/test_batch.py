@@ -138,3 +138,8 @@ def test_batch_outcome_container(code10):
     assert len(out) == 3
     assert out[0].syndrome_ok
     assert [o.iterations_run for o in out] == [1, 1, 1]
+    assert out.bits.shape == (3, 10) and out.bits.dtype == np.uint8
+    assert out.iterations.shape == out.syndrome_ok.shape == (3,)
+    for i in range(3):
+        assert np.array_equal(out[i].bits, out.bits[i])
+        assert np.shares_memory(out[i].bits, out.bits)

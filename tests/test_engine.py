@@ -1,6 +1,7 @@
 """Stream engine: dispatch, backpressure, ordering, shutdown accounting."""
 
 import itertools
+import sys
 import threading
 import time
 
@@ -225,6 +226,194 @@ def test_cancel_shutdown_reports_queued_jobs():
     assert collected == {0, 1}
 
 
+def failing_hook(bad_ids):
+    """Hook that raises inside the worker on the jobs in ``bad_ids``."""
+
+    def hook(jid):
+        if jid in bad_ids:
+            raise ValueError(f"injected failure on {jid}")
+
+    return hook
+
+
+def collect_in_thread(eng):
+    """Start draining eng.collect() in a daemon thread; returns (thread, sink)."""
+    sink = []
+    t = threading.Thread(target=lambda: sink.extend(eng.collect()), daemon=True)
+    t.start()
+    return t, sink
+
+
+def test_failed_job_counted_and_collect_returns():
+    eng = engine_start(CODE, DCFG, StreamConfig(w=2, f=2, queue_depth=2),
+                       job_hook=failing_hook({2}))
+    collector, got = collect_in_thread(eng)
+    frames = job_frames(4, 2, seed=9)
+    for i, fr in enumerate(frames):
+        assert eng.submit(DecodeJob(job_id=i, frames=fr)).accepted
+    with pytest.raises(RuntimeError, match="worker failed on job 2") as err:
+        eng.shutdown(drain=True)
+    assert isinstance(err.value.__cause__, ValueError)
+    collector.join(timeout=1.0)
+    assert not collector.is_alive(), "collect() must return after a failed shutdown"
+    assert sorted(jid for jid, _ in got) == [0, 1, 3]
+    for jid, outcome in got:
+        want = decode_batch(CODE, interleave(frames[jid]), DCFG)
+        assert np.array_equal(outcome.bits, want.bits)
+    assert eng.resident_jobs() == 0
+    summary = eng.shutdown(drain=True)
+    assert summary == ShutdownSummary(4, 3, 0, (), failed=1, failed_job_ids=(2,))
+    assert engine_shutdown(eng) is summary
+
+
+def test_failed_jobs_with_cancel_shutdown():
+    gate = threading.Event()
+    hook, started = stall_hook(gate)
+    fail = failing_hook({0, 1})
+
+    def stall_then_fail(jid):
+        hook(jid)
+        fail(jid)
+
+    eng = engine_start(CODE, DCFG, StreamConfig(w=2, f=2, queue_depth=2),
+                       job_hook=stall_then_fail)
+    frames = job_frames(5, 2)
+    for i in range(2):
+        assert eng.submit(DecodeJob(job_id=i, frames=frames[i])).accepted
+    wait_for(lambda: started == {0, 1})  # both doomed jobs are in flight
+    for i in range(2, 5):
+        assert eng.submit(DecodeJob(job_id=i, frames=frames[i])).accepted
+    releaser = threading.Timer(0.3, gate.set)
+    releaser.start()
+    with pytest.raises(RuntimeError, match="worker failed on job [01]"):
+        eng.shutdown(drain=False)
+    releaser.join()
+    collector, got = collect_in_thread(eng)
+    collector.join(timeout=1.0)
+    assert not collector.is_alive() and got == []
+    summary = eng.shutdown()
+    assert (summary.accepted, summary.completed, summary.cancelled) == (5, 0, 3)
+    assert sorted(summary.cancelled_job_ids) == [2, 3, 4]
+    assert summary.failed == 2 and sorted(summary.failed_job_ids) == [0, 1]
+    assert eng.resident_jobs() == 0
+
+
+def test_blocked_submit_returns_when_shutdown_starts():
+    gate = threading.Event()
+    hook, started = stall_hook(gate)
+    cfg = StreamConfig(w=1, f=2, queue_depth=1, backpressure="block")
+    eng = engine_start(CODE, DCFG, cfg, job_hook=hook)
+    frames = job_frames(3, 2)
+    assert eng.submit(DecodeJob(job_id=0, frames=frames[0])).accepted
+    wait_for(lambda: started == {0})
+    assert eng.submit(DecodeJob(job_id=1, frames=frames[1])).accepted
+    blocked = {}
+    submitter = threading.Thread(target=lambda: blocked.setdefault(
+        "status", eng.submit(DecodeJob(job_id=2, frames=frames[2]))), daemon=True)
+    submitter.start()
+    submitter.join(timeout=0.2)
+    assert submitter.is_alive(), "submit should block while the queue is full"
+    stopper = threading.Thread(target=lambda: blocked.setdefault(
+        "summary", eng.shutdown(drain=True)), daemon=True)
+    stopper.start()  # joins the stalled worker, so it cannot finish yet
+    submitter.join(timeout=1.0)
+    assert not submitter.is_alive(), "shutdown() must wake a blocked submit"
+    assert blocked["status"].reason == "engine stopped"
+    assert stopper.is_alive()
+    gate.set()
+    stopper.join(timeout=5.0)
+    assert not stopper.is_alive()
+    assert blocked["summary"] == ShutdownSummary(2, 2, 0, ())
+
+
+def test_concurrent_second_shutdown_gets_first_summary():
+    gate = threading.Event()
+    hook, started = stall_hook(gate)
+    eng = engine_start(CODE, DCFG, StreamConfig(w=1, f=2, queue_depth=1,
+                                                backpressure="reject"),
+                       job_hook=hook)
+    frames = job_frames(2, 2)
+    assert eng.submit(DecodeJob(job_id=0, frames=frames[0])).accepted
+    wait_for(lambda: started == {0})
+    assert eng.submit(DecodeJob(job_id=1, frames=frames[1])).accepted
+    summaries = [None, None]
+
+    def stop(k):
+        summaries[k] = eng.shutdown(drain=True)
+
+    first = threading.Thread(target=stop, args=(0,), daemon=True)
+    first.start()
+    # the queue is full, so submit reports "queues full" until the first call stops it
+    wait_for(lambda: eng.submit(DecodeJob(job_id=9, frames=frames[0])).reason
+             == "engine stopped")
+    second = threading.Thread(target=stop, args=(1,), daemon=True)
+    second.start()
+    second.join(timeout=0.2)
+    assert second.is_alive(), "the second call waits for the first call's summary"
+    gate.set()
+    for t in (first, second):
+        t.join(timeout=5.0)
+        assert not t.is_alive()
+    assert summaries[0] == ShutdownSummary(2, 2, 0, ())
+    assert summaries[1] is summaries[0]
+
+
+def test_job_id_refused_until_collected_then_reusable():
+    eng = engine_start(CODE, DCFG, StreamConfig(w=1, f=2, queue_depth=2))
+    frames = job_frames(2, 2)
+    assert eng.submit(DecodeJob(job_id=7, frames=frames[0])).accepted
+    wait_for(lambda: eng.resident_jobs() == 0)  # decoded, result not yet collected
+    dup = eng.submit(DecodeJob(job_id=7, frames=frames[1]))
+    assert not dup.accepted and dup.reason == "duplicate job_id 7"
+    results = eng.collect()
+    jid, first = next(results)
+    assert jid == 7
+    assert eng.submit(DecodeJob(job_id=7, frames=frames[1])).accepted
+    summary = eng.shutdown(drain=True)
+    assert summary == ShutdownSummary(2, 2, 0, ())
+    (jid, second), = list(results)
+    assert jid == 7
+    want = decode_batch(CODE, interleave(frames[1]), DCFG)
+    assert np.array_equal(second.bits, want.bits)
+
+
+def test_concurrent_submitters_and_collectors_stress():
+    # more streams and threads than cores, and a short switch interval, so a
+    # lost wake-up or a lost update shows as a hung thread or a missing id
+    frames = job_frames(4, 2)
+    cfg = DecoderConfig(schedule="flooding", max_iterations=2)
+    accepted = [[] for _ in range(3)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        eng = engine_start(CODE, cfg, StreamConfig(w=4, f=2, queue_depth=1))
+
+        def submitter(k):
+            for i in range(k, 300, 3):
+                if eng.submit(DecodeJob(job_id=i, frames=frames[i % 4])).accepted:
+                    accepted[k].append(i)
+
+        collectors = [collect_in_thread(eng) for _ in range(3)]
+        submitters = [threading.Thread(target=submitter, args=(k,), daemon=True)
+                      for k in range(3)]
+        for t in submitters:
+            t.start()
+        for t in submitters:
+            t.join(timeout=60.0)
+            assert not t.is_alive(), "a submitter hung"
+        summary = eng.shutdown(drain=True)
+        for t, _ in collectors:
+            t.join(timeout=10.0)
+            assert not t.is_alive(), "a collector hung"
+    finally:
+        sys.setswitchinterval(old)
+    ids = sorted(i for part in accepted for i in part)
+    assert ids == list(range(300))  # the block policy accepts every job
+    assert sorted(jid for _, sink in collectors for jid, _ in sink) == ids
+    assert summary == ShutdownSummary(300, 300, 0, ())
+    assert eng.resident_jobs() == 0
+
+
 def test_shutdown_idempotent_and_rejects_after():
     eng = engine_start(CODE, DCFG, StreamConfig(w=2, f=2, queue_depth=2))
     frames = job_frames(3, 2)
@@ -253,9 +442,10 @@ def test_collect_mid_run():
 def test_make_job_ids_monotone():
     eng = engine_start(CODE, DCFG, StreamConfig(w=1, f=2, queue_depth=2))
     frames = job_frames(1, 2)[0]
+    t0 = time.perf_counter()
     jobs = [eng.make_job(frames) for _ in range(5)]
     assert [j.job_id for j in jobs] == [0, 1, 2, 3, 4]
-    assert all(j.submitted_at is not None for j in jobs)
+    assert all(t0 <= j.submitted_at <= time.perf_counter() for j in jobs)
     eng.shutdown(drain=True)
 
 
