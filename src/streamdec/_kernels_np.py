@@ -7,8 +7,9 @@ in column-adjacency position order.  The layered kernel runs the rows
 level by level (``ParityCheckCode.levels``): levels run in order and
 rows within a level share no variable, so each level is one vectorised
 step with the ascending-row result.  Every check-node update goes
-through ``_check_messages``.  With early termination, converged lanes
-freeze: their messages, posteriors and bits are never written again.
+through ``_check_rows``.  Both schedules sweep under one driver,
+``_Lanes``: with early termination a converged lane leaves the working
+arrays, so its messages, posteriors and bits are never written again.
 """
 
 from __future__ import annotations
@@ -47,65 +48,91 @@ def _check_messages(vals, mask, norm, clamp):
     return out
 
 
-def _var_totals(code, intrinsic, c2v):
-    """intrinsic + incident check messages, accumulated in position order."""
-    total = intrinsic.copy()
-    for t in range(code.max_col_degree):
-        sel = code.col_pad_mask[:, t]
-        total[sel] += c2v[code.col_pad_edge[sel, t], :]
-    return total
+def _check_rows(code, rows, vals, norm, clamp):
+    """Check messages of ``rows`` from their gathered (rows, dmax, F) inputs.
+
+    A degree-1 row has no other input to take a minimum over; it sends
+    ``norm * clamp``, as the row-loop kernels do.
+    """
+    out = _check_messages(vals, code.row_pad_mask[rows], norm, clamp)
+    out[code.row_degrees[rows] == 1, 0, :] = norm * clamp
+    return out
+
+
+class _Lanes:
+    """Lockstep sweeps over the F lanes of one decode.
+
+    Iterating yields the working arrays, posterior first, once per sweep,
+    and the sweep updates them in place.  They hold the columns of the
+    ``live`` lanes only: after each sweep the driver writes the posterior
+    back and takes the hard decisions, and with early termination it drops
+    each converged lane from every working array.
+    """
+
+    def __init__(self, code, max_iters, early_term, *work):
+        self.code, self.max_iters, self.early_term = code, max_iters, early_term
+        self.post, self.work = work[0], work
+        n, nf = self.post.shape
+        self.bits = np.zeros((n, nf), dtype=np.uint8)
+        self.iters = np.full(nf, max_iters, dtype=np.int64)
+        self.ok = np.zeros(nf, dtype=bool)
+        self.live = np.arange(nf)
+
+    def __iter__(self):
+        for it in range(1, self.max_iters + 1):
+            yield self.work
+            post = self.work[0]
+            if post is not self.post:  # a copy since a lane converged
+                self.post[:, self.live] = post
+            hard = (post < 0.0).view(np.uint8)
+            self.bits[:, self.live] = hard
+            if self.early_term:
+                done = _syndrome_ok_lanes(self.code, hard)
+                self.iters[self.live[done]] = it
+                self.ok[self.live[done]] = True
+                if done.all():
+                    return
+                if done.any():
+                    self.live = self.live[~done]
+                    self.work = tuple(a[:, ~done] for a in self.work)
+
+    def result(self):
+        """(bits, iterations, syndrome_ok, posterior) of every lane."""
+        if not self.early_term:
+            self.ok[:] = _syndrome_ok_lanes(self.code, self.bits)
+        return self.bits, self.iters, self.ok, self.post
 
 
 def decode_flooding(code, llr, max_iters, early_term, norm, clamp):
     """Two-phase min-sum.  Returns (bits, iterations, syndrome_ok, posterior)."""
-    n, nf = llr.shape
     intrinsic = np.clip(llr, -clamp, clamp)
-    post = intrinsic.copy()
-    v2c = intrinsic[code.edge_var, :].copy()
-    c2v = np.zeros((code.edge_count, nf))
-    bits = np.zeros((n, nf), dtype=np.uint8)
-    iters = np.full(nf, max_iters, dtype=np.int64)
-    ok = np.zeros(nf, dtype=bool)
-    active = np.ones(nf, dtype=bool)
-
-    for it in range(1, max_iters + 1):
+    lanes = _Lanes(code, max_iters, early_term,
+                   intrinsic.copy(), intrinsic, intrinsic[code.edge_var, :])
+    for post, intrinsic, v2c in lanes:
         vals = v2c[code.row_pad_edge, :]
-        out = _check_messages(vals, code.row_pad_mask, norm, clamp)
-        new_c2v = out[code.row_pad_mask]
-        if code.deg1_rows.size:
-            new_c2v[code.row_ptr[code.deg1_rows]] = norm * clamp
-        total = _var_totals(code, intrinsic, new_c2v)
-        new_post = np.clip(total, -clamp, clamp)
-        new_v2c = np.clip(total[code.edge_var, :] - new_c2v, -clamp, clamp)
-
-        post[:, active] = new_post[:, active]
-        v2c[:, active] = new_v2c[:, active]
-        c2v[:, active] = new_c2v[:, active]
-        bits[:, active] = (new_post[:, active] < 0.0)
-
-        if early_term:
-            converged = active & _syndrome_ok_lanes(code, bits)
-            iters[converged] = it
-            ok[converged] = True
-            active &= ~converged
-            if not active.any():
-                break
-
-    if not early_term:
-        ok[:] = _syndrome_ok_lanes(code, bits)
-    return bits, iters, ok, post
+        out = _check_rows(code, slice(None), vals, norm, clamp)
+        c2v = out[code.row_pad_mask]
+        # variable totals accumulate in column-adjacency position order
+        total = intrinsic.copy()
+        for t in range(code.max_col_degree):
+            sel = code.col_pad_mask[:, t]
+            total[sel] += c2v[code.col_pad_edge[sel, t], :]
+        np.clip(total, -clamp, clamp, out=post)
+        np.take(total, code.edge_var, axis=0, out=v2c)  # no (edges, F) temporary
+        v2c -= c2v
+        np.clip(v2c, -clamp, clamp, out=v2c)
+    return lanes.result()
 
 
 def _layered_level(code, rows, post, msg, norm, clamp):
     """Update the rows of one level in place; they share no variable."""
     edges = code.row_pad_edge[rows]
-    mask = code.row_pad_mask[rows]
     var = code.edge_var[edges]
     ext = post[var, :] - msg[edges, :]
-    new = _check_messages(ext, mask, norm, clamp)
-    new[code.row_degrees[rows] == 1, 0, :] = norm * clamp
+    new = _check_rows(code, rows, ext, norm, clamp)
     new_post = ext + new
     np.clip(new_post, -clamp, clamp, out=new_post)
+    mask = code.row_pad_mask[rows]
     msg[edges[mask], :] = new[mask]
     post[var[mask], :] = new_post[mask]
 
@@ -117,39 +144,12 @@ def decode_layered(code, llr, max_iters, early_term, norm, clamp):
     level.  Rows within a level share no variable, so the result equals
     visiting the rows one by one in ascending order.
     """
-    n, nf = llr.shape
-    post = np.clip(llr, -clamp, clamp)
-    bits = np.zeros((n, nf), dtype=np.uint8)
-    iters = np.full(nf, max_iters, dtype=np.int64)
-    ok = np.zeros(nf, dtype=bool)
-    active = np.ones(nf, dtype=bool)
-    # the lanes still decoding, whose columns the working arrays hold: all of
-    # them, in place, until the first lane freezes
-    live = np.arange(nf)
-    work_post, work_msg = post, np.zeros((code.edge_count, nf))
-
-    for it in range(1, max_iters + 1):
+    lanes = _Lanes(code, max_iters, early_term, np.clip(llr, -clamp, clamp),
+                   np.zeros((code.edge_count, llr.shape[1])))
+    for post, msg in lanes:
         for rows in code.levels:
-            _layered_level(code, rows, work_post, work_msg, norm, clamp)
-        if work_post is not post:
-            post[:, live] = work_post
-        bits[:, live] = (work_post < 0.0)
-
-        if early_term:
-            converged = active & _syndrome_ok_lanes(code, bits)
-            iters[converged] = it
-            ok[converged] = True
-            active &= ~converged
-            if not active.any():
-                break
-            if converged.any():
-                keep = active[live]
-                live = live[keep]
-                work_post, work_msg = work_post[:, keep], work_msg[:, keep]
-
-    if not early_term:
-        ok[:] = _syndrome_ok_lanes(code, bits)
-    return bits, iters, ok, post
+            _layered_level(code, rows, post, msg, norm, clamp)
+    return lanes.result()
 
 
 def warmup():

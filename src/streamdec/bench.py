@@ -139,14 +139,12 @@ def run_throughput(code: ParityCheckCode, decoder_config: DecoderConfig,
         drainer.start()
 
         t0 = time.perf_counter()
-        if frames is not None:
-            for i in range(n_jobs):
-                assert eng.submit(eng.make_job(pool[i % len(pool)])).accepted
-        else:
-            i = 0
-            while time.perf_counter() - t0 < seconds:
-                assert eng.submit(eng.make_job(pool[i % len(pool)])).accepted
-                i += 1
+        i = 0
+        while (i < n_jobs if frames is not None
+               else time.perf_counter() - t0 < seconds):
+            if not eng.submit(eng.make_job(pool[i % len(pool)])).accepted:
+                raise RuntimeError("the blocking engine refused a job")
+            i += 1
         summary = eng.shutdown(drain=True)
         wall = time.perf_counter() - t0
         drainer.join()

@@ -96,7 +96,6 @@ class ParityCheckCode:
         self.col_degrees = np.diff(self.col_ptr).astype(np.int32)
         self.max_row_degree = int(degs.max())
         self.max_col_degree = int(self.col_degrees.max())
-        self.deg1_rows = np.nonzero(degs == 1)[0].astype(np.int32)
 
         # padded views for vectorized kernels; masked slots are inert
         self.row_pad_edge = np.zeros((self.m, self.max_row_degree), dtype=np.int32)
@@ -127,7 +126,7 @@ class ParityCheckCode:
                             for k in range(int(row_level.max()) + 1))
 
         for a in (self.row_ptr, self.edge_var, self.col_ptr, self.col_edge,
-                  self.row_degrees, self.col_degrees, self.deg1_rows,
+                  self.row_degrees, self.col_degrees,
                   self.row_pad_edge, self.row_pad_mask,
                   self.col_pad_edge, self.col_pad_mask, *self.levels):
             a.setflags(write=False)

@@ -9,6 +9,7 @@ whose hard decision first satisfied every check, otherwise
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +53,8 @@ class DecoderConfig:
             raise ValueError("max_iterations must be >= 1")
         if not 0.0 < self.normalization <= 1.0:
             raise ValueError("normalization must lie in (0, 1]")
-        if not self.llr_clamp > 0.0:
-            raise ValueError("llr_clamp must be positive")
+        if not (self.llr_clamp > 0.0 and math.isfinite(self.llr_clamp)):
+            raise ValueError("llr_clamp must be positive and finite")
 
 
 @dataclass(frozen=True)

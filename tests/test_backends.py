@@ -105,6 +105,16 @@ def _irregular_code(rng, m, n):
             return from_dense(h)
 
 
+def _assert_kernels_match(schedule, code, llr, early):
+    """Assert both kernel sets agree; return how many distinct sweep counts."""
+    args = (code, llr, 8, early, 0.75, 12.0)
+    want = getattr(_kernels_np, f"decode_{schedule}")(*args)
+    got = getattr(_kernels_numba, f"decode_{schedule}")(*args)
+    for a, b in zip(want, got):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    return len(set(want[1].tolist()))
+
+
 @pytest.mark.parametrize("schedule", ["flooding", "layered"])
 @pytest.mark.parametrize("early", [True, False])
 def test_row_loop_kernels_match_numpy(schedule, early):
@@ -117,11 +127,12 @@ def test_row_loop_kernels_match_numpy(schedule, early):
         code = _irregular_code(rng, 12, 24)
         f = int(rng.integers(2, 9))
         llr = 1.0 + rng.normal(0, 1.5, (code.n, f))
-        args = (code, llr, 8, early, 0.75, 12.0)
-        want = getattr(_kernels_np, f"decode_{schedule}")(*args)
-        got = getattr(_kernels_numba, f"decode_{schedule}")(*args)
-        for a, b in zip(want, got):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
-        staggered |= len(set(want[1].tolist())) > 1
-    if early:  # lanes froze at different sweeps in at least one case
-        assert staggered
+        staggered |= _assert_kernels_match(schedule, code, llr, early) > 1
+    # a regular code at F=32: levels of several rows, lanes leaving at
+    # several different sweeps
+    code = random_regular_code(96, 48, 6, seed=3)
+    assert max(len(rows) for rows in code.levels) > 1
+    llr = 2.5 + rng.normal(0, 2.2, (code.n, 32))
+    sweeps = _assert_kernels_match(schedule, code, llr, early)
+    if early:  # lanes froze at different sweeps
+        assert staggered and sweeps >= 3

@@ -63,6 +63,21 @@ def test_throughput_seconds_mode():
     assert r.wall_time >= 0.1
 
 
+def test_throughput_counts_jobs_under_optimize():
+    # python -O strips asserts; every timed job must still be submitted
+    script = ("from streamdec import DecoderConfig, random_regular_code\n"
+              "from streamdec.bench import run_throughput\n"
+              "code = random_regular_code(96, 48, 6, seed=0)\n"
+              "cfg = DecoderConfig(schedule='flooding', max_iterations=10)\n"
+              "r, = run_throughput(code, cfg, w=2, f=2, frames=8, repeats=1,\n"
+              "                    backend='numpy')\n"
+              "print(r.frames_decoded)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == 8
+
+
 def test_decode_time_scales_with_iterations():
     # fixed workload, 5 vs 10 iterations: decode phase cost is near-linear.
     # The host's speed drifts, so the two settings alternate run by run and

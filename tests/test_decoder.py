@@ -198,6 +198,8 @@ def test_config_validation():
         DecoderConfig(schedule="flooding", normalization=1.5)
     with pytest.raises(ValueError):
         DecoderConfig(schedule="flooding", llr_clamp=0.0)
+    with pytest.raises(ValueError):  # a degree-1 check would send inf
+        DecoderConfig(schedule="layered", llr_clamp=float("inf"))
 
 
 # --- schedule-specific invariants -------------------------------------------
