@@ -7,9 +7,15 @@ in column-adjacency position order.  The layered kernel runs the rows
 level by level (``ParityCheckCode.levels``): levels run in order and
 rows within a level share no variable, so each level is one vectorised
 step with the ascending-row result.  Every check-node update goes
-through ``_check_rows``.  Both schedules sweep under one driver,
-``_Lanes``: with early termination a converged lane leaves the working
-arrays, so its messages, posteriors and bits are never written again.
+through ``_check_rows`` over a ``RowPlan`` that the code builds once:
+the rows' inputs are padded to ``max_row_degree`` with ``+inf``, which
+never wins a minimum and is never negative.  ``_check_messages`` takes
+the two smallest magnitudes from one ``np.partition`` and each slot's
+sign as its own sign XOR the row's sign parity; the result equals the
+row loops' ``norm * (sign * mag)``, clipped, bit for bit, signed zeros
+included.  Both schedules sweep in lockstep under ``_Lanes``: with early
+termination a converged lane leaves the working arrays, so its messages,
+posteriors and bits are never written again.
 """
 
 from __future__ import annotations
@@ -25,38 +31,45 @@ def _syndrome_ok_lanes(code, bits):
     return ~parity.any(axis=0)
 
 
-def _check_messages(vals, mask, norm, clamp):
+def _check_messages(vals, norm, clamp):
     """Normalized min-sum row update on padded rows.
 
-    vals : (m, dmax, F) gathered inputs; slots outside ``mask`` are inert.
-    Returns messages of the same shape (garbage in masked-out slots).
+    vals : (m, dmax, F) gathered inputs; padding slots hold ``+inf``, which
+    never wins a minimum and is never negative, so it is inert.
+    Returns messages of the same shape (garbage in padding slots).
     """
-    m, dmax, nf = vals.shape
-    a = np.where(mask[:, :, None], np.abs(vals), np.inf)
-    first = np.argmin(a, axis=1)
-    min1 = np.take_along_axis(a, first[:, None, :], axis=1)[:, 0, :]
-    rest = a.copy()
-    np.put_along_axis(rest, first[:, None, :], np.inf, axis=1)
-    min2 = rest.min(axis=1)
-    neg = (vals < 0.0) & mask[:, :, None]
-    total_sign = 1.0 - 2.0 * (neg.sum(axis=1) & 1)
-    pos = np.arange(dmax)[None, :, None]
-    mag = np.where(pos == first[:, None, :], min2[:, None, :], min1[:, None, :])
-    sign_in = np.where(neg, -1.0, 1.0)
-    out = norm * (total_sign[:, None, :] * sign_in * mag)
-    np.clip(out, -clamp, clamp, out=out)
-    return out
+    a = np.abs(vals)
+    if a.shape[1] > 1:
+        two = np.partition(a, 1, axis=1)
+        min1, min2 = two[:, :1], two[:, 1:2]
+    else:  # degree-1 rows only: no second minimum
+        min1, min2 = a, np.inf
+    # a tied minimum leaves min2 == min1, so every slot gets the same
+    # magnitude as excluding the first minimum's own slot would give it
+    mag = np.where(a == min1, min2, min1)
+    mag *= norm
+    np.minimum(mag, clamp, out=mag)
+    neg = vals < 0.0
+    flip = neg ^ np.bitwise_xor.reduce(neg, axis=1, keepdims=True)
+    return np.where(flip, -mag, mag)  # np.negative(where=) is ~7x slower at F=32
 
 
-def _check_rows(code, rows, vals, norm, clamp):
-    """Check messages of ``rows`` from their gathered (rows, dmax, F) inputs.
+def _check_rows(code, plan, vals, norm, clamp):
+    """Check messages, (edges, F) in ``plan.edge`` order, from their inputs.
 
     A degree-1 row has no other input to take a minimum over; it sends
     ``norm * clamp``, as the row-loop kernels do.
     """
-    out = _check_messages(vals, code.row_pad_mask[rows], norm, clamp)
-    out[code.row_degrees[rows] == 1, 0, :] = norm * clamp
-    return out
+    nf = vals.shape[1]
+    if plan.real is None:
+        padded = vals.reshape(-1, code.max_row_degree, nf)
+    else:
+        padded = np.full(plan.real.shape + (nf,), np.inf)
+        padded[plan.real] = vals
+    out = _check_messages(padded, norm, clamp)
+    if plan.deg1 is not None:
+        out[plan.deg1, 0] = norm * clamp
+    return out.reshape(-1, nf) if plan.real is None else out[plan.real]
 
 
 class _Lanes:
@@ -109,9 +122,7 @@ def decode_flooding(code, llr, max_iters, early_term, norm, clamp):
     lanes = _Lanes(code, max_iters, early_term,
                    intrinsic.copy(), intrinsic, intrinsic[code.edge_var, :])
     for post, intrinsic, v2c in lanes:
-        vals = v2c[code.row_pad_edge, :]
-        out = _check_rows(code, slice(None), vals, norm, clamp)
-        c2v = out[code.row_pad_mask]
+        c2v = _check_rows(code, code.row_plan, v2c, norm, clamp)
         # variable totals accumulate in column-adjacency position order
         total = intrinsic.copy()
         for t in range(code.max_col_degree):
@@ -124,17 +135,14 @@ def decode_flooding(code, llr, max_iters, early_term, norm, clamp):
     return lanes.result()
 
 
-def _layered_level(code, rows, post, msg, norm, clamp):
+def _layered_level(code, plan, post, msg, norm, clamp):
     """Update the rows of one level in place; they share no variable."""
-    edges = code.row_pad_edge[rows]
-    var = code.edge_var[edges]
-    ext = post[var, :] - msg[edges, :]
-    new = _check_rows(code, rows, ext, norm, clamp)
-    new_post = ext + new
-    np.clip(new_post, -clamp, clamp, out=new_post)
-    mask = code.row_pad_mask[rows]
-    msg[edges[mask], :] = new[mask]
-    post[var[mask], :] = new_post[mask]
+    ext = post[plan.var] - msg[plan.edge]
+    new = _check_rows(code, plan, ext, norm, clamp)
+    ext += new
+    np.clip(ext, -clamp, clamp, out=ext)
+    msg[plan.edge] = new
+    post[plan.var] = ext
 
 
 def decode_layered(code, llr, max_iters, early_term, norm, clamp):
@@ -147,8 +155,8 @@ def decode_layered(code, llr, max_iters, early_term, norm, clamp):
     lanes = _Lanes(code, max_iters, early_term, np.clip(llr, -clamp, clamp),
                    np.zeros((code.edge_count, llr.shape[1])))
     for post, msg in lanes:
-        for rows in code.levels:
-            _layered_level(code, rows, post, msg, norm, clamp)
+        for plan in code.level_plans:
+            _layered_level(code, plan, post, msg, norm, clamp)
     return lanes.result()
 
 

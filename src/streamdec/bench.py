@@ -170,17 +170,12 @@ def median_throughput(results: list[BenchResult]) -> float:
     return float(np.median([r.throughput_mbps for r in results]))
 
 
-def _point_llrs(code, gen, ch, messages, start, count, noiseless):
-    """LLR block (count, n) of the encoded messages[start:start + count]."""
-    block = np.empty((count, code.n), dtype=np.float64)
-    for j in range(count):
-        cw = gen.encode(messages[start + j])
-        if noiseless:
-            block[j] = 4.0 * (1.0 - 2.0 * cw.astype(np.float64))
-        else:
-            y = transmit(ch, modulate_bpsk(cw), frame_index=start + j)
-            block[j] = llr_from_channel(ch, y)
-    return block
+def _point_llrs(ch, symbols, start, noiseless):
+    """LLR block (count, n) of one batch's BPSK symbols, frames start, start + 1, ..."""
+    if noiseless:
+        return 4.0 * symbols
+    return np.stack([llr_from_channel(ch, transmit(ch, x, frame_index=start + j))
+                     for j, x in enumerate(symbols)])
 
 
 def run_ber(code: ParityCheckCode, decoder_config: DecoderConfig,
@@ -192,6 +187,7 @@ def run_ber(code: ParityCheckCode, decoder_config: DecoderConfig,
     Errors are counted on message positions only (k bits per frame).  The
     same message draw and the same standard-normal noise stream are reused
     across Eb/N0 points so curves differ only through the noise scale.
+    Each batch of ``f`` frames is encoded once and sent at every point.
     """
     if not ebno_list:
         raise ValueError("ebno_list must be non-empty")
@@ -206,25 +202,23 @@ def run_ber(code: ParityCheckCode, decoder_config: DecoderConfig,
     else:
         messages = mrng.integers(0, 2, size=(frames, k), dtype=np.uint8)
 
-    out = []
-    for ebno in ebno_list:
-        ch = AwgnChannel(float(ebno), rate, seed=seed)
-        bit_errors = 0
-        frame_errors = 0
-        for start in range(0, frames, f):
-            count = min(f, frames - start)
-            block = _point_llrs(code, gen, ch, messages, start, count, noiseless)
+    channels = [AwgnChannel(float(ebno), rate, seed=seed) for ebno in ebno_list]
+    bit_errors = [0] * len(channels)
+    frame_errors = [0] * len(channels)
+    for start in range(0, frames, f):
+        sent = messages[start:start + f]
+        symbols = modulate_bpsk(np.stack([gen.encode(u) for u in sent]))
+        for p, ch in enumerate(channels):
+            block = _point_llrs(ch, symbols, start, noiseless)
             outcome = decode_batch(code, interleave(block), decoder_config,
                                    backend=backend)
-            errs = np.count_nonzero(outcome.bits[:, gen.message_columns]
-                                    != messages[start:start + count], axis=1)
-            bit_errors += int(errs.sum())
-            frame_errors += int(np.count_nonzero(errs))
-        out.append(BerResult(
-            ebno_db=float(ebno), frames=frames, bit_errors=bit_errors,
-            frame_errors=frame_errors, ber=bit_errors / (frames * k),
-            fer=frame_errors / frames))
-    return out
+            errs = np.count_nonzero(outcome.bits[:, gen.message_columns] != sent,
+                                    axis=1)
+            bit_errors[p] += int(errs.sum())
+            frame_errors[p] += int(np.count_nonzero(errs))
+    return [BerResult(ebno_db=ch.ebno_db, frames=frames, bit_errors=be,
+                      frame_errors=fe, ber=be / (frames * k), fer=fe / frames)
+            for ch, be, fe in zip(channels, bit_errors, frame_errors)]
 
 
 def run_compare_schedules(code: ParityCheckCode, ebno_list: list[float],

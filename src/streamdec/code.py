@@ -4,13 +4,15 @@ A code is held as the Tanner-graph adjacency of its m x n parity-check
 matrix.  Edge ids are assigned in row-major order: edge ``row_ptr[j] + t``
 is the t-th entry of check j, so every (check, position) pair maps to a
 unique flat id and back.  Kernels consume the flat CSR-style arrays
-(``row_ptr``/``edge_var`` and ``col_ptr``/``col_edge``) plus padded
-per-node views and the row levels used by the vectorized numpy paths.
+(``row_ptr``/``edge_var`` and ``col_ptr``/``col_edge``) plus the padded
+column view, the row levels and the check-step plans (``RowPlan``) used
+by the vectorized numpy paths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,6 +20,7 @@ __all__ = [
     "AlistFormatError",
     "DegenerateCodeError",
     "ParityCheckCode",
+    "RowPlan",
     "GeneratorForm",
     "from_dense",
     "parse_alist",
@@ -34,6 +37,22 @@ class AlistFormatError(ValueError):
 
 class DegenerateCodeError(ValueError):
     """Raised for codes with an all-zero row or column, or infeasible parameters."""
+
+
+class RowPlan(NamedTuple):
+    """Index plan of one vectorised check step over a set of rows.
+
+    ``edge`` lists the rows' edge ids row after row and ``var`` their
+    variables.  In the padded (rows, max_row_degree) layout of the step,
+    ``real`` marks the slots that hold an edge; it is None when every row
+    has ``max_row_degree`` edges.  ``deg1`` holds the positions of the
+    degree-1 rows among ``rows``, or None when there are none.
+    """
+
+    edge: np.ndarray
+    var: np.ndarray
+    real: np.ndarray | None
+    deg1: np.ndarray | None
 
 
 class ParityCheckCode:
@@ -97,13 +116,7 @@ class ParityCheckCode:
         self.max_row_degree = int(degs.max())
         self.max_col_degree = int(self.col_degrees.max())
 
-        # padded views for vectorized kernels; masked slots are inert
-        self.row_pad_edge = np.zeros((self.m, self.max_row_degree), dtype=np.int32)
-        self.row_pad_mask = np.zeros((self.m, self.max_row_degree), dtype=bool)
-        for j in range(self.m):
-            d = int(degs[j])
-            self.row_pad_edge[j, :d] = np.arange(self.row_ptr[j], self.row_ptr[j] + d)
-            self.row_pad_mask[j, :d] = True
+        # padded column view for the flooding variable phase; masked slots are inert
         self.col_pad_edge = np.zeros((self.n, self.max_col_degree), dtype=np.int32)
         self.col_pad_mask = np.zeros((self.n, self.max_col_degree), dtype=bool)
         for i in range(self.n):
@@ -125,10 +138,31 @@ class ParityCheckCode:
         self.levels = tuple(np.nonzero(row_level == k)[0].astype(np.int32)
                             for k in range(int(row_level.max()) + 1))
 
+        # check-step plans: all rows for flooding, one per level for layered;
+        # the level plans slice one level-ordered (edge, variable) pair
+        slot = np.arange(self.max_row_degree, dtype=np.int32)
+        real = slot < degs[:, None]
+        order = np.concatenate(self.levels)
+        level_edge = (self.row_ptr[order, None] + slot)[real[order]]
+        level_var = self.edge_var[level_edge]
+        bounds = np.cumsum([0] + [int(degs[r].sum()) for r in self.levels])
+
+        def plan(rows, edge, var):
+            d = degs[rows]
+            return RowPlan(edge, var,
+                           real[rows] if (d < self.max_row_degree).any() else None,
+                           np.flatnonzero(d == 1) if (d == 1).any() else None)
+
+        self.row_plan = plan(slice(None), np.arange(self.edge_count, dtype=np.int32),
+                             self.edge_var)
+        self.level_plans = tuple(plan(r, level_edge[lo:hi], level_var[lo:hi])
+                                 for r, lo, hi in zip(self.levels, bounds, bounds[1:]))
+
         for a in (self.row_ptr, self.edge_var, self.col_ptr, self.col_edge,
                   self.row_degrees, self.col_degrees,
-                  self.row_pad_edge, self.row_pad_mask,
-                  self.col_pad_edge, self.col_pad_mask, *self.levels):
+                  self.col_pad_edge, self.col_pad_mask, *self.levels,
+                  *(a for p in (self.row_plan, *self.level_plans) for a in p
+                    if a is not None)):
             a.setflags(write=False)
 
     def edge_id(self, check: int, pos: int) -> int:

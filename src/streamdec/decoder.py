@@ -87,9 +87,7 @@ def check_node_update(values, normalization: float = 1.0) -> np.ndarray:
         raise ValueError("check_node_update needs a 1-D vector of >= 2 values")
     if not np.isfinite(x).all():
         raise ValueError("incoming values must be finite")
-    row = x[None, :, None]
-    return _check_messages(row, np.ones(row.shape[:2], dtype=bool),
-                           normalization, np.inf)[0, :, 0]
+    return _check_messages(x[None, :, None], normalization, np.inf)[0, :, 0]
 
 
 def _decode_lanes(code: ParityCheckCode, lanes: np.ndarray, config: DecoderConfig,
@@ -112,7 +110,7 @@ def _decode_single(code, frame, config, backend, schedule):
     if config.schedule != schedule:
         raise ValueError(f"config.schedule is {config.schedule!r}, expected {schedule!r}")
     bits, iters, ok, _ = _decode_lanes(code, llr.reshape(code.n, 1), config, backend)
-    return DecodeOutcome(bits=bits[:, 0].copy(), iterations_run=int(iters[0]),
+    return DecodeOutcome(bits=bits[:, 0], iterations_run=int(iters[0]),
                          syndrome_ok=bool(ok[0]))
 
 

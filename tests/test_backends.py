@@ -6,6 +6,7 @@ import pytest
 from streamdec import (
     AwgnChannel,
     DecoderConfig,
+    ParityCheckCode,
     decode_batch,
     from_dense,
     interleave,
@@ -112,6 +113,7 @@ def _assert_kernels_match(schedule, code, llr, early):
     got = getattr(_kernels_numba, f"decode_{schedule}")(*args)
     for a, b in zip(want, got):
         assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert np.array_equal(np.signbit(want[3]), np.signbit(got[3]))  # zeros too
     return len(set(want[1].tolist()))
 
 
@@ -136,3 +138,13 @@ def test_row_loop_kernels_match_numpy(schedule, early):
     sweeps = _assert_kernels_match(schedule, code, llr, early)
     if early:  # lanes froze at different sweeps
         assert staggered and sweeps >= 3
+    # integer LLRs: exact zeros, signed zeros and tied minima are common
+    llr = np.round(1.0 + rng.normal(0, 1.5, (code.n, 16)))
+    assert (llr == 0).any() and np.signbit(llr[llr == 0]).any()
+    _assert_kernels_match(schedule, code, llr, early)
+    code = _irregular_code(rng, 12, 24)
+    _assert_kernels_match(schedule, code, np.round(rng.normal(0, 2, (code.n, 8))), early)
+    # every row of degree 1: no second minimum anywhere
+    code = ParityCheckCode([[0], [1], [0], [2], [1]], 3)
+    assert code.max_row_degree == 1
+    _assert_kernels_match(schedule, code, rng.normal(0, 2, (code.n, 4)), early)

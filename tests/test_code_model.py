@@ -99,6 +99,40 @@ def test_levels_follow_row_dependencies(code10):
             assert level[j] == 1 + max(deps, default=-1)
 
 
+def test_check_plans_cover_edges(code10):
+    # the level plans hold every edge once, in row order within a level,
+    # with no variable twice in a level; padding and degree-1 positions
+    # are None exactly when the level has none
+    irregular = ParityCheckCode([[3], [0, 1, 2], [2, 3], [4, 5], [1, 4], [0, 5]], 6)
+    codes = (code10, irregular, random_regular_code(96, 48, 6, seed=1),
+             ParityCheckCode([[0], [1], [0]], 2))
+    for code in codes:
+        assert len(code.level_plans) == len(code.levels)
+        edges = []
+        for rows, plan in [(range(code.m), code.row_plan),
+                           *zip(code.levels, code.level_plans)]:
+            want = [code.edge_id(j, t) for j in rows
+                    for t in range(int(code.row_degrees[j]))]
+            assert plan.edge.tolist() == want
+            assert plan.var.tolist() == code.edge_var[want].tolist()
+            degs = code.row_degrees[list(rows)]
+            if (degs == code.max_row_degree).all():
+                assert plan.real is None
+            else:
+                assert plan.real.tolist() == [[t < d for t in range(code.max_row_degree)]
+                                              for d in degs]
+            if (degs == 1).any():
+                assert plan.deg1.tolist() == np.flatnonzero(degs == 1).tolist()
+            else:
+                assert plan.deg1 is None
+            for a in plan:
+                assert a is None or not a.flags.writeable
+            if plan is not code.row_plan:
+                edges += want
+                assert len(set(plan.var.tolist())) == plan.var.size
+        assert sorted(edges) == list(range(code.edge_count))
+
+
 @pytest.mark.parametrize("flips,expected", [
     ((), [0, 0, 0, 0, 0]),
     ((0,), [1, 1, 0, 0, 0]),

@@ -102,6 +102,8 @@ def test_noiseless_converges_first_iteration(code10, schedule):
     frame = np.full(10, 4.0)
     out = decode_frame(code10, frame, cfg(schedule, early_termination=True))
     assert out.bits.tolist() == [0] * 10
+    assert out.bits.shape == (10,) and out.bits.dtype == np.uint8
+    assert not np.shares_memory(out.bits, frame)
     assert out.iterations_run == 1
     assert out.syndrome_ok
 
@@ -233,8 +235,8 @@ def test_layered_posterior_consistency_per_row(code10, code40):
         post = np.clip(llr, -64, 64)
         msg = np.zeros((code.edge_count, 2))
         for sweep in range(3):
-            for rows in code.levels:
-                _layered_level(code, rows, post, msg, 1.0, 64.0)
+            for plan in code.level_plans:
+                _layered_level(code, plan, post, msg, 1.0, 64.0)
                 for i in range(code.n):
                     lo, hi = code.col_ptr[i], code.col_ptr[i + 1]
                     want = llr[i] + msg[code.col_edge[lo:hi]].sum(axis=0)
@@ -249,7 +251,7 @@ def test_layered_updates_are_immediate(code40):
     post = llr.copy()
     msg = np.zeros((code40.edge_count, 1))
     first = code40.levels[0]
-    _layered_level(code40, first, post, msg, 1.0, 64.0)
+    _layered_level(code40, code40.level_plans[0], post, msg, 1.0, 64.0)
     touched = sorted({i for j in first for i in code40.row_adj[j]})
     rest = [i for i in range(code40.n) if i not in touched]
     assert len(first) > 1 and rest
