@@ -1,16 +1,26 @@
 """Multi-stream decode engine.
 
-W worker threads each own a bounded FIFO of jobs and run the full
-interleave / lockstep-decode / deinterleave pipeline per job.  Because
-the jitted kernels release the GIL, streams overlap on real cores.
-Dispatch picks the least-loaded stream (queued plus in-flight), breaking
-ties round-robin, so equally idle streams are filled in rotation.
+W worker threads each own a bounded FIFO of jobs.  A worker takes its
+stream's oldest job together with the jobs queued behind it, in FIFO
+order, while the group holds at most GROUP_LANES frames; it never waits
+for more.  It stacks the group's frames into one lane-major block, decodes
+it in one lockstep call and hands back one result per job, in FIFO order.
+Lanes are independent, so the results are bit-identical to decoding each
+job alone, and the group pays kernel dispatch and, on the numpy backend,
+GIL hand-offs once instead of once per job.  A job of more than
+GROUP_LANES / 2 frames is always decoded alone.  The numba kernels release
+the GIL for a whole decode, so streams overlap on real cores; numpy
+releases it only inside each array operation.  Dispatch picks the
+least-loaded stream (queued plus in-flight), breaking ties round-robin, so
+equally idle streams are filled in rotation.
 
 One lock guards all shared state, and threads wait only on conditions
 of that lock, so nothing polls.  Every accepted job ends completed
-(collectable), cancelled at shutdown, or failed (its worker raised):
-accepted = completed + cancelled + failed, and the engine never holds
-more than w * queue_depth + w jobs.  A job id is live until its result
+(collectable), cancelled at shutdown, or failed (its hook or its group's
+decode raised): accepted = completed + cancelled + failed.  A stream takes
+a job while its queued jobs plus all but one of its in-flight jobs number
+fewer than queue_depth, so it holds at most queue_depth + 1 jobs and the
+engine at most w * queue_depth + w.  A job id is live until its result
 is collected or the job is cancelled or fails; a live id is refused as
 a duplicate, and a retired one may be reused.
 """
@@ -24,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .batch import BatchOutcome, interleave
+from .batch import BatchOutcome
 from .code import ParityCheckCode
 from .decoder import DecoderConfig, _decode_lanes
 
@@ -39,11 +49,13 @@ __all__ = [
 ]
 
 BACKPRESSURE_POLICIES = ("block", "reject")
+GROUP_LANES = 64  # most frames one worker decodes in one lockstep call
 
 
 @dataclass(frozen=True)
 class StreamConfig:
-    """w parallel streams, f frames per batch, queue_depth jobs buffered each."""
+    """w parallel streams and f frames per batch; each stream holds at most
+    queue_depth + 1 jobs, queued or in flight."""
 
     w: int = 1
     f: int = 32
@@ -94,12 +106,12 @@ class ShutdownSummary:
 
 
 class _Stream:
-    __slots__ = ("index", "jobs", "busy", "ready", "thread")
+    __slots__ = ("index", "jobs", "in_flight", "ready", "thread")
 
     def __init__(self, index, lock):
         self.index = index
         self.jobs = deque()  # (job_id, frames), at most queue_depth long
-        self.busy = False  # a job is in flight
+        self.in_flight = 0  # jobs in the group being decoded
         self.ready = threading.Condition(lock)  # jobs queued or engine stopping
         self.thread = None
 
@@ -121,6 +133,7 @@ class Engine:
         self._results = deque()
         self._streams = [_Stream(i, self._lock) for i in range(stream_config.w)]
         self._rr = stream_config.w - 1  # so the first pick lands on stream 0
+        self._group_jobs = max(1, GROUP_LANES // stream_config.f)
         self._accepted = 0
         self._completed = 0
         self._failures = []  # (job_id, exception), in the order they happened
@@ -150,11 +163,15 @@ class Engine:
     # -- submission ------------------------------------------------------
 
     def _select_stream(self):
-        """Least loaded among streams with queue space, tie round-robin."""
+        """Least loaded among streams with queue space, tie round-robin.
+
+        An in-flight group holds one job's slot beyond queue_depth.
+        """
         rotated = self._streams[self._rr + 1:] + self._streams[:self._rr + 1]
+        depth = self.stream_config.queue_depth
         return min((st for st in rotated
-                    if len(st.jobs) < self.stream_config.queue_depth),
-                   key=lambda st: len(st.jobs) + st.busy, default=None)
+                    if len(st.jobs) + max(st.in_flight - 1, 0) < depth),
+                   key=lambda st: len(st.jobs) + st.in_flight, default=None)
 
     def submit(self, job: DecodeJob) -> SubmitStatus:
         """Queue one job; blocks or rejects when every stream is full."""
@@ -189,40 +206,74 @@ class Engine:
     # -- worker ----------------------------------------------------------
 
     def _worker(self, st: _Stream):
-        while True:
-            with self._lock:
-                st.ready.wait_for(lambda: st.jobs or self._stopping)
-                if not st.jobs:
-                    return
-                job_id, frames = st.jobs.popleft()
-                st.busy = True
-                self._space.notify_all()
-            try:
-                if self._job_hook is not None:
+        while self._serve(st):
+            pass
+
+    def _serve(self, st: _Stream) -> bool:
+        """Decode one group of st's jobs; False once stopping with none queued.
+
+        The group's arrays are locals of this call, so none outlives it
+        while the worker sleeps.
+        """
+        with self._lock:
+            st.ready.wait_for(lambda: st.jobs or self._stopping)
+            if not st.jobs:
+                return False
+            group = [st.jobs.popleft()
+                     for _ in range(min(self._group_jobs, len(st.jobs)))]
+            st.in_flight = len(group)
+            self._space.notify_all()
+        failures, ready = [], group
+        if self._job_hook is not None:
+            ready = []
+            for job_id, frames in group:
+                try:
                     self._job_hook(job_id)
-                t0 = time.perf_counter()
-                batch = interleave(frames)
-                t1 = time.perf_counter()
-                bits, iters, ok, _ = _decode_lanes(self.code, batch.lanes(),
-                                                   self.decoder_config, self.backend)
-                t2 = time.perf_counter()
-                outcome = BatchOutcome(bits.T, iters, ok)
-                t3 = time.perf_counter()
+                except Exception as exc:  # fails this job alone
+                    failures.append((job_id, exc))
+                else:
+                    ready.append((job_id, frames))
+        outcomes = []
+        if ready:
+            try:
+                outcomes, seconds = self._decode_group(ready)
             except Exception as exc:  # decode bugs must surface at shutdown
-                with self._lock:
-                    st.busy = False
-                    self._failures.append((job_id, exc))
-                    self._live_ids.discard(job_id)
-                continue
-            with self._lock:
-                st.busy = False
-                self._completed += 1
-                self._timers["interleave"] += t1 - t0
-                self._timers["decode"] += t2 - t1
-                self._timers["deinterleave"] += t3 - t2
-                self._timers["batches"] += 1
-                self._results.append((job_id, outcome))
+                failures.extend((job_id, exc) for job_id, _ in ready)
+        with self._lock:
+            # no wake-up for submitters: a stream is full only with jobs
+            # queued, so this worker's next take frees its space and notifies
+            st.in_flight = 0
+            self._failures.extend(failures)
+            self._live_ids.difference_update(job_id for job_id, _ in failures)
+            if outcomes:
+                self._completed += len(outcomes)
+                for phase, secs in zip(("interleave", "decode", "deinterleave"), seconds):
+                    self._timers[phase] += secs
+                self._timers["batches"] += len(outcomes)
+                self._results.extend(outcomes)
                 self._done.notify_all()
+        return True
+
+    def _decode_group(self, group):
+        """One lockstep decode of the group's frames.
+
+        Returns [(job_id, BatchOutcome)] in group order, each outcome made
+        of row slices of the group's arrays, and the seconds spent packing,
+        decoding and slicing.
+        """
+        f = self.stream_config.f
+        t0 = time.perf_counter()
+        lanes = np.empty((self.code.n, f * len(group)))
+        np.concatenate([frames.T for _, frames in group], axis=1, out=lanes)
+        t1 = time.perf_counter()
+        bits, iters, ok, _ = _decode_lanes(self.code, lanes, self.decoder_config,
+                                           self.backend)
+        t2 = time.perf_counter()
+        rows = bits.T
+        outcomes = [(job_id, BatchOutcome(rows[a:a + f], iters[a:a + f], ok[a:a + f]))
+                    for (job_id, _), a in zip(group, range(0, len(rows), f))]
+        t3 = time.perf_counter()
+        return outcomes, (t1 - t0, t2 - t1, t3 - t2)
 
     # -- collection --------------------------------------------------------
 
@@ -287,10 +338,12 @@ class Engine:
     def resident_jobs(self) -> int:
         """Jobs currently held (queued + in-flight)."""
         with self._lock:
-            return sum(len(st.jobs) + st.busy for st in self._streams)
+            return sum(len(st.jobs) + st.in_flight for st in self._streams)
 
     def phase_totals(self) -> dict:
-        """Aggregate busy seconds per pipeline phase across all workers."""
+        """Busy seconds per pipeline phase summed over all workers, and the
+        number of jobs completed ("batches").  A group's seconds are counted
+        once, whatever its size."""
         with self._lock:
             return dict(self._timers)
 

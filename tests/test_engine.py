@@ -1,13 +1,16 @@
-"""Stream engine: dispatch, backpressure, ordering, shutdown accounting."""
+"""Stream engine: dispatch, backpressure, ordering, grouping, shutdown accounting."""
 
+import gc
 import itertools
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
 
+import streamdec.engine as engine_mod
 from streamdec import (
     AwgnChannel,
     DecoderConfig,
@@ -159,11 +162,18 @@ def wait_for(predicate, timeout=2.0):
 
 
 def test_reject_backpressure_and_bounded_residency():
-    gate = threading.Event()
-    hook, started = stall_hook(gate)
+    first, second = threading.Event(), threading.Event()
+    gates = {0: first, 1: first, 2: second, 3: second}
+    started = set()
+
+    def hook(jid):
+        started.add(jid)
+        if jid in gates:
+            gates[jid].wait()
+
     cfg = StreamConfig(w=2, f=2, queue_depth=2, backpressure="reject")
     eng = engine_start(CODE, DCFG, cfg, job_hook=hook)
-    frames = job_frames(8, 2)
+    frames = job_frames(9, 2)
     for i in range(2):
         assert eng.submit(DecodeJob(job_id=i, frames=frames[i])).accepted
     wait_for(lambda: started == {0, 1})  # both workers hold a job in flight
@@ -173,10 +183,20 @@ def test_reject_backpressure_and_bounded_residency():
     assert not full.accepted and full.reason == "queues full"
     # exactly w*queue_depth + w jobs resident while workers are stalled
     assert eng.resident_jobs() == 6 == cfg.w * cfg.queue_depth + cfg.w
-    gate.set()
+    first.set()
+    # each worker now holds a two-job group, [2, 4] and [3, 5], in flight:
+    # a stream takes one more job, and residency stays at the bound
+    wait_for(lambda: started >= {2, 3})
+    assert eng.resident_jobs() == 4
+    for i in (6, 7):
+        assert eng.submit(DecodeJob(job_id=i, frames=frames[i])).accepted
+    full = eng.submit(DecodeJob(job_id=8, frames=frames[8]))
+    assert not full.accepted and full.reason == "queues full"
+    assert eng.resident_jobs() == 6 == cfg.w * cfg.queue_depth + cfg.w
+    second.set()
     summary = eng.shutdown(drain=True)
-    assert summary.accepted == 6 and summary.completed == 6 and summary.cancelled == 0
-    assert len(list(eng.collect())) == 6
+    assert summary.accepted == 8 and summary.completed == 8 and summary.cancelled == 0
+    assert len(list(eng.collect())) == 8
 
 
 def test_block_backpressure_blocks_then_proceeds():
@@ -298,6 +318,105 @@ def test_failed_jobs_with_cancel_shutdown():
     assert eng.resident_jobs() == 0
 
 
+def stalled_group(monkeypatch, f, bad_ids=(), fail_above=None):
+    """One stream: job 0 stalls in its hook while jobs 1-3 queue behind it.
+
+    Job 0 is released before this returns.  Hooks raise on ``bad_ids`` and
+    decodes of more than ``fail_above`` lanes raise.  Returns the engine,
+    the jobs' frames and the lane count of every decode the engine made.
+    """
+    widths = []
+    real = engine_mod._decode_lanes
+
+    def spy(code, lanes, *args):
+        widths.append(lanes.shape[1])
+        if fail_above is not None and lanes.shape[1] > fail_above:
+            raise ValueError(f"injected failure on {lanes.shape[1]} lanes")
+        return real(code, lanes, *args)
+
+    monkeypatch.setattr(engine_mod, "_decode_lanes", spy)
+    gate = threading.Event()
+    stall, started = stall_hook(gate)
+    fail = failing_hook(set(bad_ids))
+
+    def hook(jid):
+        stall(jid)
+        fail(jid)
+
+    eng = engine_start(CODE, DCFG, StreamConfig(w=1, f=f, queue_depth=3),
+                       job_hook=hook)
+    frames = job_frames(4, f, seed=11, ebno=1.0)
+    assert eng.submit(DecodeJob(job_id=0, frames=frames[0])).accepted
+    wait_for(lambda: started == {0})
+    for i in range(1, 4):
+        assert eng.submit(DecodeJob(job_id=i, frames=frames[i])).accepted
+    gate.set()
+    return eng, frames, widths
+
+
+def assert_standalone(outcome, frames):
+    want = decode_batch(CODE, interleave(frames), DCFG)
+    assert np.array_equal(outcome.bits, want.bits)
+    assert np.array_equal(outcome.iterations, want.iterations)
+    assert np.array_equal(outcome.syndrome_ok, want.syndrome_ok)
+
+
+def test_queued_jobs_share_one_decode_up_to_group_lanes(monkeypatch):
+    eng, frames, widths = stalled_group(monkeypatch, f=32)
+    assert eng.shutdown(drain=True) == ShutdownSummary(4, 4, 0, ())
+    # job 0 alone, jobs 1 and 2 as one 64-lane group, then job 3
+    assert widths == [32, 64, 32]
+    got = list(eng.collect())
+    assert [jid for jid, _ in got] == [0, 1, 2, 3]
+    for jid, outcome in got:
+        assert_standalone(outcome, frames[jid])
+
+
+def test_hook_failure_fails_only_its_job_in_a_group(monkeypatch):
+    eng, frames, widths = stalled_group(monkeypatch, f=16, bad_ids={2})
+    with pytest.raises(RuntimeError, match="worker failed on job 2"):
+        eng.shutdown(drain=True)
+    assert widths == [16, 32]  # jobs 1 and 3 decoded together without job 2
+    got = list(eng.collect())
+    assert [jid for jid, _ in got] == [0, 1, 3]
+    for jid, outcome in got:
+        assert_standalone(outcome, frames[jid])
+    assert eng.shutdown() == ShutdownSummary(4, 3, 0, (), failed=1, failed_job_ids=(2,))
+
+
+def test_decode_failure_fails_the_whole_group(monkeypatch):
+    eng, frames, widths = stalled_group(monkeypatch, f=32, fail_above=32)
+    with pytest.raises(RuntimeError, match="worker failed on job 1"):
+        eng.shutdown(drain=True)
+    assert widths == [32, 64, 32]
+    got = list(eng.collect())
+    assert [jid for jid, _ in got] == [0, 3]
+    for jid, outcome in got:
+        assert_standalone(outcome, frames[jid])
+    summary = eng.shutdown()
+    assert summary == ShutdownSummary(4, 2, 0, (), failed=2, failed_job_ids=(1, 2))
+    assert summary.accepted == summary.completed + summary.cancelled + summary.failed
+    assert eng.resident_jobs() == 0
+
+
+def test_idle_worker_keeps_no_decode_arrays(monkeypatch):
+    posteriors = []
+    real = engine_mod._decode_lanes
+
+    def spy(*args):
+        result = real(*args)
+        posteriors.append(weakref.ref(result[3]))
+        return result
+
+    monkeypatch.setattr(engine_mod, "_decode_lanes", spy)
+    eng = engine_start(CODE, DCFG, StreamConfig(w=1, f=4, queue_depth=2))
+    assert eng.submit(DecodeJob(job_id=0, frames=job_frames(1, 4)[0])).accepted
+    assert next(eng.collect())[0] == 0
+    # the worker is back asleep waiting for a job once the posterior is gone
+    wait_for(lambda: gc.collect() >= 0 and posteriors[0]() is None)
+    assert eng.shutdown(drain=True) == ShutdownSummary(1, 1, 0, ())
+
+
 def test_blocked_submit_returns_when_shutdown_starts():
     gate = threading.Event()
     hook, started = stall_hook(gate)
@@ -379,14 +498,20 @@ def test_job_id_refused_until_collected_then_reusable():
 
 def test_concurrent_submitters_and_collectors_stress():
     # more streams and threads than cores, and a short switch interval, so a
-    # lost wake-up or a lost update shows as a hung thread or a missing id
+    # lost wake-up or a lost update shows as a hung thread or a missing id;
+    # at queue_depth 4 the workers also take multi-job groups
+    for queue_depth in (1, 4):
+        stress_engine(queue_depth)
+
+
+def stress_engine(queue_depth):
     frames = job_frames(4, 2)
     cfg = DecoderConfig(schedule="flooding", max_iterations=2)
     accepted = [[] for _ in range(3)]
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        eng = engine_start(CODE, cfg, StreamConfig(w=4, f=2, queue_depth=1))
+        eng = engine_start(CODE, cfg, StreamConfig(w=4, f=2, queue_depth=queue_depth))
 
         def submitter(k):
             for i in range(k, 300, 3):
