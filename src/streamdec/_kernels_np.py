@@ -6,13 +6,16 @@ ascending row order, edges in row order, and variable sums accumulate
 in column-adjacency position order.  The layered kernel runs the rows
 level by level (``ParityCheckCode.levels``): levels run in order and
 rows within a level share no variable, so each level is one vectorised
-step with the ascending-row result.  Every check-node update goes
-through ``_check_rows`` over a ``RowPlan`` that the code builds once:
-the rows' inputs are padded to ``max_row_degree`` with ``+inf``, which
-never wins a minimum and is never negative.  ``_check_messages`` takes
-the two smallest magnitudes from one ``np.partition`` and each slot's
-sign as its own sign XOR the row's sign parity; the result equals the
-row loops' ``norm * (sign * mag)``, clipped, bit for bit, signed zeros
+step with the ascending-row result.  Padding is inert, never masked:
+the check step pads rows to ``max_row_degree`` with ``+inf``, which
+never wins a minimum and is never negative, and the flooding variable
+phase points the padding slots of ``code.col_pad_edge`` at a ``-0.0``
+row past the last edge, as ``x + (-0.0) == x`` for every x, signed zeros
+included.  Every check-node update goes through ``_check_rows`` over a
+``RowPlan`` that the code builds once.  ``_check_messages`` takes the
+two smallest magnitudes from one ``np.partition`` and each slot's sign
+as its own sign XOR the row's sign parity; the result equals the row
+loops' ``norm * (sign * mag)``, clipped, bit for bit, signed zeros
 included.  Both schedules sweep in lockstep under ``_Lanes``: with early
 termination a converged lane leaves the working arrays, so its messages,
 posteriors and bits are never written again.
@@ -124,10 +127,10 @@ def decode_flooding(code, llr, max_iters, early_term, norm, clamp):
     for post, intrinsic, v2c in lanes:
         c2v = _check_rows(code, code.row_plan, v2c, norm, clamp)
         # variable totals accumulate in column-adjacency position order
+        padded = np.concatenate((c2v, np.full((1, c2v.shape[1]), -0.0)))
         total = intrinsic.copy()
         for t in range(code.max_col_degree):
-            sel = code.col_pad_mask[:, t]
-            total[sel] += c2v[code.col_pad_edge[sel, t], :]
+            total += padded[code.col_pad_edge[:, t]]
         np.clip(total, -clamp, clamp, out=post)
         np.take(total, code.edge_var, axis=0, out=v2c)  # no (edges, F) temporary
         v2c -= c2v

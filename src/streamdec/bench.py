@@ -21,7 +21,7 @@ from .engine import StreamConfig, engine_start
 
 THROUGHPUT_CSV_HEADER = (
     "n,m,schedule,backend,w,f,iterations,repeat,frames_decoded,"
-    "wall_time_s,throughput_mbps,transfer_s,interleave_s,decode_s,deinterleave_s"
+    "wall_time_s,throughput_mbps,interleave_s,decode_s,deinterleave_s"
 )
 BER_CSV_HEADER = (
     "n,m,k,schedule,backend,iterations,ebno_db,frames,"
@@ -55,8 +55,7 @@ class BenchResult:
         return (f"{self.n},{self.m},{self.schedule},{self.backend},{self.w},"
                 f"{self.f},{self.iterations},{self.repeat},{self.frames_decoded},"
                 f"{self.wall_time:.6f},{self.throughput_mbps:.4f},"
-                f"{p['transfer']:.6f},{p['interleave']:.6f},"
-                f"{p['decode']:.6f},{p['deinterleave']:.6f}")
+                f"{p['interleave']:.6f},{p['decode']:.6f},{p['deinterleave']:.6f}")
 
 
 @dataclass(frozen=True)
@@ -90,20 +89,17 @@ class CompareResult:
                 f"{self.converged_layered}")
 
 
-def _workload_pool(code: ParityCheckCode, jobs: int, f: int, seed: int,
-                   pool_cap: int = 64) -> list:
-    """Deterministic LLR payloads shaped (f, n); cycled when jobs > pool_cap."""
+def _workload_pool(code: ParityCheckCode, jobs: int, f: int, seed: int) -> list:
+    """Deterministic LLR payloads shaped (f, n); cycled when jobs > 64."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xB)))
-    pool = [np.asarray(rng.normal(0.0, 4.0, size=(f, code.n)), dtype=np.float64)
-            for _ in range(min(jobs, pool_cap))]
-    return pool
+    return [np.asarray(rng.normal(0.0, 4.0, size=(f, code.n)), dtype=np.float64)
+            for _ in range(min(jobs, 64))]
 
 
 def run_throughput(code: ParityCheckCode, decoder_config: DecoderConfig,
                    w: int, f: int, frames: int | None = None,
                    seconds: float | None = None, repeats: int = 3,
-                   seed: int = 0, backend: str | None = None,
-                   queue_depth: int = 4) -> list[BenchResult]:
+                   seed: int = 0, backend: str | None = None) -> list[BenchResult]:
     """Time a fixed workload through the stream engine.
 
     Exactly one of ``frames`` / ``seconds`` selects the workload size.
@@ -125,8 +121,7 @@ def run_throughput(code: ParityCheckCode, decoder_config: DecoderConfig,
     results = []
     for rep in range(repeats):
         eng = engine_start(code, decoder_config,
-                           StreamConfig(w=w, f=f, queue_depth=queue_depth,
-                                        backpressure="block"),
+                           StreamConfig(w=w, f=f, backpressure="block"),
                            backend=backend)
         outcomes = eng.collect()
         warm_up = [eng.submit(eng.make_job(pool[0])) for _ in range(w)]  # one per worker
@@ -151,8 +146,7 @@ def run_throughput(code: ParityCheckCode, decoder_config: DecoderConfig,
 
         done = summary.completed - w  # exclude warm-up
         totals = eng.phase_totals()
-        per_phase = {"transfer": 0.0,
-                     "interleave": totals["interleave"] / w,
+        per_phase = {"interleave": totals["interleave"] / w,
                      "decode": totals["decode"] / w,
                      "deinterleave": totals["deinterleave"] / w}
         frames_decoded = done * f
@@ -251,11 +245,8 @@ def run_compare_schedules(code: ParityCheckCode, ebno_list: list[float],
         iters = {s: [] for s in configs}
         converged = {s: 0 for s in configs}
         for start in range(0, frames, f):
-            count = min(f, frames - start)
-            block = np.stack([
-                llr_from_channel(ch, transmit(ch, sym, frame_index=start + j))
-                for j in range(count)])
-            lanes = interleave(block)
+            symbols = np.broadcast_to(sym, (min(f, frames - start), code.n))
+            lanes = interleave(_point_llrs(ch, symbols, start, noiseless=False))
             for s, cfg in configs.items():
                 outcome = decode_batch(code, lanes, cfg, backend=backend)
                 iters[s].append(np.where(outcome.syndrome_ok, outcome.iterations,

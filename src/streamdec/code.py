@@ -4,9 +4,10 @@ A code is held as the Tanner-graph adjacency of its m x n parity-check
 matrix.  Edge ids are assigned in row-major order: edge ``row_ptr[j] + t``
 is the t-th entry of check j, so every (check, position) pair maps to a
 unique flat id and back.  Kernels consume the flat CSR-style arrays
-(``row_ptr``/``edge_var`` and ``col_ptr``/``col_edge``) plus the padded
-column view, the row levels and the check-step plans (``RowPlan``) used
-by the vectorized numpy paths.
+(``row_ptr``/``edge_var`` and ``col_ptr``/``col_edge``).  The vectorized
+numpy paths also use the padded column table ``col_pad_edge`` (padding
+slots hold ``edge_count``), the row levels and the check-step plans
+(``RowPlan``).
 """
 
 from __future__ import annotations
@@ -116,14 +117,13 @@ class ParityCheckCode:
         self.max_row_degree = int(degs.max())
         self.max_col_degree = int(self.col_degrees.max())
 
-        # padded column view for the flooding variable phase; masked slots are inert
-        self.col_pad_edge = np.zeros((self.n, self.max_col_degree), dtype=np.int32)
-        self.col_pad_mask = np.zeros((self.n, self.max_col_degree), dtype=bool)
-        for i in range(self.n):
-            d = int(self.col_degrees[i])
-            lo = int(self.col_ptr[i])
-            self.col_pad_edge[i, :d] = self.col_edge[lo:lo + d]
-            self.col_pad_mask[i, :d] = True
+        # padded column view for the flooding variable phase: column i's edge
+        # ids in position order, then edge_count, the id of a -0.0 sentinel row
+        col_of = np.repeat(np.arange(self.n), self.col_degrees)
+        pos = np.arange(self.edge_count) - self.col_ptr[col_of]
+        self.col_pad_edge = np.full((self.n, self.max_col_degree), self.edge_count,
+                                    dtype=np.int32)
+        self.col_pad_edge[col_of, pos] = self.col_edge
 
         # level schedule for layered decoding: a row's level is 1 + the largest
         # level of any earlier row sharing one of its variables, so rows within
@@ -160,7 +160,7 @@ class ParityCheckCode:
 
         for a in (self.row_ptr, self.edge_var, self.col_ptr, self.col_edge,
                   self.row_degrees, self.col_degrees,
-                  self.col_pad_edge, self.col_pad_mask, *self.levels,
+                  self.col_pad_edge, *self.levels,
                   *(a for p in (self.row_plan, *self.level_plans) for a in p
                     if a is not None)):
             a.setflags(write=False)

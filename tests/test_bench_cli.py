@@ -41,7 +41,6 @@ def test_throughput_single_frame_smoke():
     r = results[0]
     assert r.frames_decoded == 1
     assert r.throughput_mbps > 0
-    assert r.per_phase["transfer"] == 0.0
     assert sum(r.per_phase.values()) <= r.wall_time + 1e-6
 
 

@@ -133,6 +133,23 @@ def test_check_plans_cover_edges(code10):
         assert sorted(edges) == list(range(code.edge_count))
 
 
+def test_column_table_pads_with_sentinel(code10):
+    # each column lists its edge ids in position order; padding slots hold
+    # edge_count, the flooding kernel's -0.0 sentinel row
+    irregular = ParityCheckCode([[3], [0, 1, 2], [2, 3], [4, 5], [1, 4], [0, 5]], 6)
+    codes = (code10, irregular, random_regular_code(96, 48, 6, seed=1),
+             ParityCheckCode([[0], [1], [0]], 2))
+    for code in codes:
+        table = code.col_pad_edge
+        assert table.shape == (code.n, code.max_col_degree)
+        assert not table.flags.writeable
+        for i in range(code.n):
+            d = int(code.col_degrees[i])
+            lo, hi = int(code.col_ptr[i]), int(code.col_ptr[i + 1])
+            assert table[i, :d].tolist() == code.col_edge[lo:hi].tolist()
+            assert (table[i, d:] == code.edge_count).all()
+
+
 @pytest.mark.parametrize("flips,expected", [
     ((), [0, 0, 0, 0, 0]),
     ((0,), [1, 1, 0, 0, 0]),
