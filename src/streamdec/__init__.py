@@ -19,9 +19,7 @@ from .decoder import (
     DecodeOutcome,
     DecoderConfig,
     check_node_update,
-    decode_flooding,
     decode_frame,
-    decode_layered,
     hard_decision,
 )
 from .engine import (
@@ -30,7 +28,6 @@ from .engine import (
     ShutdownSummary,
     StreamConfig,
     SubmitStatus,
-    engine_shutdown,
     engine_start,
 )
 
@@ -56,12 +53,9 @@ __all__ = [
     "available_backends",
     "check_node_update",
     "decode_batch",
-    "decode_flooding",
     "decode_frame",
-    "decode_layered",
     "deinterleave",
     "emit_alist",
-    "engine_shutdown",
     "engine_start",
     "from_dense",
     "hard_decision",

@@ -2,8 +2,10 @@
 
 Two interchangeable kernel sets exist: numba-jitted loops and pure
 numpy.  Both follow the same per-lane arithmetic order, so they produce
-bit-identical decodes.  The STREAMDEC_BACKEND environment variable picks
-one ("numba", "numpy", or "auto"); auto prefers numba when importable.
+bit-identical decodes.  A decoder configuration names its set in
+DecoderConfig(backend=...); with backend=None each decode uses the
+process default, which the STREAMDEC_BACKEND environment variable picks
+("numba", "numpy", or "auto"; auto prefers numba when importable).
 """
 
 from __future__ import annotations

@@ -80,8 +80,8 @@ def deinterleave(batch: FrameBatch) -> np.ndarray:
     return batch.lanes().T.copy()
 
 
-def decode_batch(code: ParityCheckCode, batch: FrameBatch, config: DecoderConfig,
-                 backend: str | None = None) -> BatchOutcome:
+def decode_batch(code: ParityCheckCode, batch: FrameBatch,
+                 config: DecoderConfig) -> BatchOutcome:
     """Decode all lanes of a batch in lockstep.
 
     Every lane follows the same arithmetic order as the single-frame
@@ -90,5 +90,5 @@ def decode_batch(code: ParityCheckCode, batch: FrameBatch, config: DecoderConfig
     """
     if batch.n != code.n:
         raise ValueError(f"batch n ({batch.n}) does not match code n ({code.n})")
-    bits, iters, ok, _ = _decode_lanes(code, batch.lanes(), config, backend)
+    bits, iters, ok, _ = _decode_lanes(code, batch.lanes(), config)
     return BatchOutcome(bits.T, iters, ok)

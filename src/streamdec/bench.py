@@ -99,7 +99,7 @@ def _workload_pool(code: ParityCheckCode, jobs: int, f: int, seed: int) -> list:
 def run_throughput(code: ParityCheckCode, decoder_config: DecoderConfig,
                    w: int, f: int, frames: int | None = None,
                    seconds: float | None = None, repeats: int = 3,
-                   seed: int = 0, backend: str | None = None) -> list[BenchResult]:
+                   seed: int = 0) -> list[BenchResult]:
     """Time a fixed workload through the stream engine.
 
     Exactly one of ``frames`` / ``seconds`` selects the workload size.
@@ -110,6 +110,8 @@ def run_throughput(code: ParityCheckCode, decoder_config: DecoderConfig,
         raise ValueError("exactly one of frames/seconds must be given")
     if frames is not None and frames < 1:
         raise ValueError("frames must be >= 1")
+    if f < 1:
+        raise ValueError("f must be >= 1")
     if seconds is not None and seconds <= 0:
         raise ValueError("seconds must be > 0")
     if repeats < 1:
@@ -117,12 +119,11 @@ def run_throughput(code: ParityCheckCode, decoder_config: DecoderConfig,
 
     n_jobs = -(-frames // f) if frames is not None else 0
     pool = _workload_pool(code, max(n_jobs, 8), f, seed)
-    backend_name = get_kernels(backend).NAME
+    backend_name = get_kernels(decoder_config.backend).NAME
     results = []
     for rep in range(repeats):
         eng = engine_start(code, decoder_config,
-                           StreamConfig(w=w, f=f, backpressure="block"),
-                           backend=backend)
+                           StreamConfig(w=w, f=f, backpressure="block"))
         outcomes = eng.collect()
         warm_up = [eng.submit(eng.make_job(pool[0])) for _ in range(w)]  # one per worker
         assert all(status.accepted for status in warm_up)
@@ -174,8 +175,8 @@ def _point_llrs(ch, symbols, start, noiseless):
 
 def run_ber(code: ParityCheckCode, decoder_config: DecoderConfig,
             ebno_list: list[float], frames: int, seed: int = 0,
-            f: int = 32, all_zeros: bool = False, noiseless: bool = False,
-            backend: str | None = None) -> list[BerResult]:
+            f: int = 32, all_zeros: bool = False,
+            noiseless: bool = False) -> list[BerResult]:
     """Monte-Carlo BER/FER sweep over Eb/N0 points.
 
     Errors are counted on message positions only (k bits per frame).  The
@@ -187,6 +188,8 @@ def run_ber(code: ParityCheckCode, decoder_config: DecoderConfig,
         raise ValueError("ebno_list must be non-empty")
     if frames < 1:
         raise ValueError("frames must be >= 1")
+    if f < 1:
+        raise ValueError("f must be >= 1")
     gen = systematic_form(code)
     k = gen.k
     rate = k / code.n
@@ -204,8 +207,7 @@ def run_ber(code: ParityCheckCode, decoder_config: DecoderConfig,
         symbols = modulate_bpsk(np.stack([gen.encode(u) for u in sent]))
         for p, ch in enumerate(channels):
             block = _point_llrs(ch, symbols, start, noiseless)
-            outcome = decode_batch(code, interleave(block), decoder_config,
-                                   backend=backend)
+            outcome = decode_batch(code, interleave(block), decoder_config)
             errs = np.count_nonzero(outcome.bits[:, gen.message_columns] != sent,
                                     axis=1)
             bit_errors[p] += int(errs.sum())
@@ -218,7 +220,7 @@ def run_ber(code: ParityCheckCode, decoder_config: DecoderConfig,
 def run_compare_schedules(code: ParityCheckCode, ebno_list: list[float],
                           frames: int, max_iterations: int = 10,
                           seed: int = 0, f: int = 32,
-                          normalization: float = 1.0, llr_clamp: float = 64.0,
+                          normalization: float = 1.0,
                           backend: str | None = None) -> list[CompareResult]:
     """Mean iterations-to-convergence, flooding vs layered, shared noise.
 
@@ -230,13 +232,15 @@ def run_compare_schedules(code: ParityCheckCode, ebno_list: list[float],
         raise ValueError("ebno_list must be non-empty")
     if frames < 1:
         raise ValueError("frames must be >= 1")
+    if f < 1:
+        raise ValueError("f must be >= 1")
     gen = systematic_form(code)
     rate = gen.k / code.n
     sym = modulate_bpsk(np.zeros(code.n, dtype=np.uint8))
     configs = {
         s: DecoderConfig(schedule=s, max_iterations=max_iterations,
                          early_termination=True, normalization=normalization,
-                         llr_clamp=llr_clamp)
+                         backend=backend)
         for s in ("flooding", "layered")
     }
     out = []
@@ -248,7 +252,7 @@ def run_compare_schedules(code: ParityCheckCode, ebno_list: list[float],
             symbols = np.broadcast_to(sym, (min(f, frames - start), code.n))
             lanes = interleave(_point_llrs(ch, symbols, start, noiseless=False))
             for s, cfg in configs.items():
-                outcome = decode_batch(code, lanes, cfg, backend=backend)
+                outcome = decode_batch(code, lanes, cfg)
                 iters[s].append(np.where(outcome.syndrome_ok, outcome.iterations,
                                          max_iterations))
                 converged[s] += int(np.count_nonzero(outcome.syndrome_ok))

@@ -7,6 +7,7 @@ outputs are byte-stable across runs with the same arguments.
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .backend import HAVE_NUMBA, get_kernels
 from .bench import (
@@ -175,10 +176,10 @@ def _cmd_throughput(args):
     lines = [THROUGHPUT_CSV_HEADER]
     medians = []
     for backend in _parse_backends(args.backend, allow_multi=True):
-        results = run_throughput(code, cfg, w=args.streams, f=args.batch,
+        results = run_throughput(code, replace(cfg, backend=backend),
+                                 w=args.streams, f=args.batch,
                                  frames=args.frames, seconds=args.seconds,
-                                 repeats=args.repeats, seed=args.seed,
-                                 backend=backend)
+                                 repeats=args.repeats, seed=args.seed)
         lines.extend(r.csv_row() for r in results)
         medians.append((results[0].backend, median_throughput(results)))
     _emit(lines, args.csv)
@@ -189,16 +190,15 @@ def _cmd_throughput(args):
 
 def _cmd_ber(args):
     code = _load_code(args)
-    backend = _parse_backends(args.backend, allow_multi=False)[0]
     cfg = DecoderConfig(schedule=args.schedule, max_iterations=args.iters,
                         early_termination=args.early_term == "on",
-                        normalization=args.normalization)
+                        normalization=args.normalization,
+                        backend=_parse_backends(args.backend, allow_multi=False)[0])
     results = run_ber(code, cfg, ebno_list=_parse_ebno(args.ebno),
                       frames=args.frames, seed=args.seed, f=args.batch,
-                      all_zeros=args.all_zeros, noiseless=args.noiseless,
-                      backend=backend)
+                      all_zeros=args.all_zeros, noiseless=args.noiseless)
     k = systematic_form(code).k
-    name = get_kernels(backend).NAME
+    name = get_kernels(cfg.backend).NAME
     lines = [BER_CSV_HEADER]
     lines.extend(r.csv_row(code.n, code.m, k, args.schedule, name, args.iters)
                  for r in results)

@@ -1,4 +1,4 @@
-"""Min-sum decoding of single frames.
+"""Decoder configuration, kernel dispatch and single-frame min-sum decoding.
 
 Positive LLR favors bit 0; hard decision is bit 1 iff the posterior is
 strictly negative, so an exact zero resolves to 0.  ``iterations_run``
@@ -15,15 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels_np import _check_messages
-from .backend import get_kernels
+from .backend import available_backends, get_kernels
 from .code import ParityCheckCode
 
 __all__ = [
     "DecoderConfig",
     "DecodeOutcome",
     "check_node_update",
-    "decode_flooding",
-    "decode_layered",
     "decode_frame",
     "hard_decision",
 ]
@@ -35,9 +33,14 @@ SCHEDULES = ("flooding", "layered")
 class DecoderConfig:
     """Knobs shared by both schedules.
 
+    flooding is strict two-phase min-sum: no check sees same-sweep
+    updates.  layered refreshes posteriors row by row inside the sweep.
     normalization scales every check-to-variable message (1.0 keeps
     plain min-sum; 0.75 is the usual normalized variant).  llr_clamp
-    bounds the magnitude of every stored posterior and message.
+    bounds the magnitude of every stored posterior and message.  backend
+    names the kernel set, "numpy" or "numba"; None uses the process
+    default (STREAMDEC_BACKEND, else numba when importable), resolved at
+    each decode.  Both sets give bit-identical results.
     """
 
     schedule: str
@@ -45,6 +48,7 @@ class DecoderConfig:
     early_termination: bool = False
     normalization: float = 1.0
     llr_clamp: float = 64.0
+    backend: str | None = None
 
     def __post_init__(self):
         if self.schedule not in SCHEDULES:
@@ -55,6 +59,8 @@ class DecoderConfig:
             raise ValueError("normalization must lie in (0, 1]")
         if not (self.llr_clamp > 0.0 and math.isfinite(self.llr_clamp)):
             raise ValueError("llr_clamp must be positive and finite")
+        if self.backend not in (None, *available_backends()):
+            raise ValueError(f"backend must be None or one of {available_backends()}")
 
 
 @dataclass(frozen=True)
@@ -90,43 +96,23 @@ def check_node_update(values, normalization: float = 1.0) -> np.ndarray:
     return _check_messages(x[None, :, None], normalization, np.inf)[0, :, 0]
 
 
-def _decode_lanes(code: ParityCheckCode, lanes: np.ndarray, config: DecoderConfig,
-                  backend: str | None = None):
-    """Dispatch lane-major (n, F) LLRs to the selected kernel set."""
+def _decode_lanes(code: ParityCheckCode, lanes: np.ndarray, config: DecoderConfig):
+    """Dispatch lane-major (n, F) LLRs to the config's kernel set."""
     if lanes.shape[0] != code.n:
         raise ValueError(f"LLR rows ({lanes.shape[0]}) do not match code n ({code.n})")
     if not np.isfinite(lanes).all():
         raise ValueError("LLRs must be finite")
-    k = get_kernels(backend)
+    k = get_kernels(config.backend)
     fn = k.decode_flooding if config.schedule == "flooding" else k.decode_layered
     return fn(code, lanes, config.max_iterations, config.early_termination,
               config.normalization, config.llr_clamp)
 
 
-def _decode_single(code, frame, config, backend, schedule):
+def decode_frame(code: ParityCheckCode, frame, config: DecoderConfig) -> DecodeOutcome:
+    """Decode one (n,) frame with the schedule and kernels the config selects."""
     llr = np.asarray(frame, dtype=np.float64)
     if llr.shape != (code.n,):
         raise ValueError(f"frame must have shape ({code.n},)")
-    if config.schedule != schedule:
-        raise ValueError(f"config.schedule is {config.schedule!r}, expected {schedule!r}")
-    bits, iters, ok, _ = _decode_lanes(code, llr.reshape(code.n, 1), config, backend)
+    bits, iters, ok, _ = _decode_lanes(code, llr.reshape(code.n, 1), config)
     return DecodeOutcome(bits=bits[:, 0], iterations_run=int(iters[0]),
                          syndrome_ok=bool(ok[0]))
-
-
-def decode_flooding(code: ParityCheckCode, frame, config: DecoderConfig,
-                    backend: str | None = None) -> DecodeOutcome:
-    """Strict two-phase min-sum: no check sees same-iteration updates."""
-    return _decode_single(code, frame, config, backend, "flooding")
-
-
-def decode_layered(code: ParityCheckCode, frame, config: DecoderConfig,
-                   backend: str | None = None) -> DecodeOutcome:
-    """Row-at-a-time min-sum; posteriors refresh inside the sweep."""
-    return _decode_single(code, frame, config, backend, "layered")
-
-
-def decode_frame(code: ParityCheckCode, frame, config: DecoderConfig,
-                 backend: str | None = None) -> DecodeOutcome:
-    """Decode with whichever schedule the config selects."""
-    return _decode_single(code, frame, config, backend, config.schedule)

@@ -45,7 +45,6 @@ __all__ = [
     "ShutdownSummary",
     "Engine",
     "engine_start",
-    "engine_shutdown",
 ]
 
 BACKPRESSURE_POLICIES = ("block", "reject")
@@ -75,7 +74,7 @@ class StreamConfig:
 
 @dataclass
 class DecodeJob:
-    """One batch of f frames; submitted_at is a time.perf_counter() reading.
+    """One batch of f frames.
 
     job_id must not be live: accepted and not yet collected, cancelled or
     failed.  It may be reused once its result has been collected.
@@ -83,7 +82,6 @@ class DecodeJob:
 
     job_id: int
     frames: np.ndarray
-    submitted_at: float | None = None
 
 
 @dataclass(frozen=True)
@@ -120,12 +118,10 @@ class Engine:
     """Running decode engine; create via engine_start()."""
 
     def __init__(self, code: ParityCheckCode, decoder_config: DecoderConfig,
-                 stream_config: StreamConfig, backend: str | None = None,
-                 job_hook=None):
+                 stream_config: StreamConfig, job_hook=None):
         self.code = code
         self.decoder_config = decoder_config
         self.stream_config = stream_config
-        self.backend = backend
         self._job_hook = job_hook  # instrumentation: called with each job at start
         self._lock = threading.Lock()
         self._space = threading.Condition(self._lock)  # a queue slot freed, or stopping
@@ -150,15 +146,12 @@ class Engine:
 
     # -- job helpers ---------------------------------------------------------
 
-    def next_job_id(self) -> int:
-        with self._lock:
-            jid = self._next_id
-            self._next_id += 1
-            return jid
-
     def make_job(self, frames) -> DecodeJob:
-        return DecodeJob(job_id=self.next_job_id(), frames=frames,
-                         submitted_at=time.perf_counter())
+        """A job carrying the next id this engine hands out."""
+        with self._lock:
+            job_id = self._next_id
+            self._next_id += 1
+        return DecodeJob(job_id=job_id, frames=frames)
 
     # -- submission ------------------------------------------------------
 
@@ -174,7 +167,12 @@ class Engine:
                    key=lambda st: len(st.jobs) + st.in_flight, default=None)
 
     def submit(self, job: DecodeJob) -> SubmitStatus:
-        """Queue one job; blocks or rejects when every stream is full."""
+        """Queue one job; blocks or rejects when every stream is full.
+
+        A float64 frames array is queued by reference, not copied, and read
+        when the job is decoded: do not modify it until its result has been
+        collected.
+        """
         frames = np.asarray(job.frames, dtype=np.float64)
         want = (self.stream_config.f, self.code.n)
         if frames.shape != want:
@@ -194,8 +192,6 @@ class Engine:
                 if self.stream_config.backpressure == "reject":
                     return SubmitStatus(False, None, "queues full")
                 self._space.wait()
-            if job.submitted_at is None:
-                job.submitted_at = time.perf_counter()
             st.jobs.append((job.job_id, frames))
             st.ready.notify()
             self._accepted += 1
@@ -266,8 +262,7 @@ class Engine:
         lanes = np.empty((self.code.n, f * len(group)))
         np.concatenate([frames.T for _, frames in group], axis=1, out=lanes)
         t1 = time.perf_counter()
-        bits, iters, ok, _ = _decode_lanes(self.code, lanes, self.decoder_config,
-                                           self.backend)
+        bits, iters, ok, _ = _decode_lanes(self.code, lanes, self.decoder_config)
         t2 = time.perf_counter()
         rows = bits.T
         outcomes = [(job_id, BatchOutcome(rows[a:a + f], iters[a:a + f], ok[a:a + f]))
@@ -354,13 +349,6 @@ class Engine:
 
 
 def engine_start(code: ParityCheckCode, decoder_config: DecoderConfig,
-                 stream_config: StreamConfig, backend: str | None = None,
-                 job_hook=None) -> Engine:
+                 stream_config: StreamConfig, job_hook=None) -> Engine:
     """Spin up the worker threads and return the running engine."""
-    return Engine(code, decoder_config, stream_config, backend=backend,
-                  job_hook=job_hook)
-
-
-def engine_shutdown(engine: Engine, drain: bool = True) -> ShutdownSummary:
-    """Module-level alias for Engine.shutdown()."""
-    return engine.shutdown(drain=drain)
+    return Engine(code, decoder_config, stream_config, job_hook=job_hook)

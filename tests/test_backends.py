@@ -1,5 +1,7 @@
 """Backend selection and numpy/numba bit-compatibility."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,10 @@ from streamdec import (
     AwgnChannel,
     DecoderConfig,
     ParityCheckCode,
+    StreamConfig,
     decode_batch,
+    decode_frame,
+    engine_start,
     from_dense,
     interleave,
     llr_from_channel,
@@ -15,8 +20,9 @@ from streamdec import (
     random_regular_code,
     transmit,
 )
-from streamdec import _kernels_np, _kernels_numba
+from streamdec import _kernels_np, _kernels_numba, decoder
 from streamdec.backend import HAVE_NUMBA, active_backend, available_backends, get_kernels
+from streamdec.bench import run_ber, run_throughput
 
 needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba not importable")
 
@@ -57,6 +63,42 @@ def test_kernel_modules_expose_uniform_api():
         assert mod.NAME == name
 
 
+def test_config_backend_reaches_kernels(monkeypatch):
+    # the process default names no valid backend, so any entry point that
+    # resolved kernels without the config's name would raise
+    monkeypatch.setenv("STREAMDEC_BACKEND", "metal")
+    seen = []
+
+    def spy(name=None):
+        kernels = get_kernels(name)
+        seen.append(kernels.NAME)
+        return kernels
+
+    monkeypatch.setattr(decoder, "get_kernels", spy)
+    code = random_regular_code(24, 12, 6, seed=0)
+    config = DecoderConfig(schedule="layered", max_iterations=4, backend="numpy")
+    frames = np.random.default_rng(3).normal(2.0, 2.0, (2, code.n))
+
+    def via_engine():
+        eng = engine_start(code, config, StreamConfig(w=1, f=2))
+        assert eng.submit(eng.make_job(frames)).accepted
+        eng.shutdown()
+        assert len(list(eng.collect())) == 1
+
+    entry_points = {
+        "decode_frame": lambda: decode_frame(code, frames[0], config),
+        "decode_batch": lambda: decode_batch(code, interleave(frames), config),
+        "engine": via_engine,
+        "run_ber": lambda: run_ber(code, config, [3.0], frames=4, f=2),
+        "run_throughput": lambda: run_throughput(code, config, w=1, f=2, frames=2,
+                                                 repeats=1),
+    }
+    for name, call in entry_points.items():
+        seen.clear()
+        call()
+        assert seen and set(seen) == {"numpy"}, name
+
+
 @needs_numba
 @pytest.mark.parametrize("schedule", ["flooding", "layered"])
 @pytest.mark.parametrize("early", [True, False])
@@ -68,8 +110,8 @@ def test_backends_bit_identical(schedule, early):
     config = DecoderConfig(schedule=schedule, max_iterations=15,
                            early_termination=early, normalization=0.75)
     batch = interleave(frames)
-    via_np = decode_batch(code, batch, config, backend="numpy")
-    via_nb = decode_batch(code, batch, config, backend="numba")
+    via_np = decode_batch(code, batch, replace(config, backend="numpy"))
+    via_nb = decode_batch(code, batch, replace(config, backend="numba"))
     for a, b in zip(via_np, via_nb):
         assert np.array_equal(a.bits, b.bits)
         assert a.iterations_run == b.iterations_run
@@ -89,8 +131,8 @@ def test_backends_identical_with_degree_one_checks():
         config = DecoderConfig(schedule=schedule, max_iterations=8,
                                early_termination=True, normalization=0.75,
                                llr_clamp=12.0)
-        a = decode_batch(code, interleave(frames), config, backend="numpy")
-        b = decode_batch(code, interleave(frames), config, backend="numba")
+        a = decode_batch(code, interleave(frames), replace(config, backend="numpy"))
+        b = decode_batch(code, interleave(frames), replace(config, backend="numba"))
         for x, y in zip(a, b):
             assert np.array_equal(x.bits, y.bits)
             assert x.iterations_run == y.iterations_run

@@ -20,7 +20,7 @@ from oracles import H_EXAMPLE
 
 CODE10 = from_dense(H_EXAMPLE)
 LAYERED10 = DecoderConfig(schedule="layered", max_iterations=10,
-                          early_termination=True)
+                          early_termination=True, backend="numpy")
 
 
 def run_cli(argv):
@@ -34,9 +34,8 @@ def run_cli(argv):
 # ---------------------------------------------------------------- bench API
 
 def test_throughput_single_frame_smoke():
-    cfg = DecoderConfig(schedule="layered", max_iterations=10)
-    results = run_throughput(CODE10, cfg, w=1, f=1, frames=1, repeats=1,
-                             backend="numpy")
+    cfg = DecoderConfig(schedule="layered", max_iterations=10, backend="numpy")
+    results = run_throughput(CODE10, cfg, w=1, f=1, frames=1, repeats=1)
     assert len(results) == 1
     r = results[0]
     assert r.frames_decoded == 1
@@ -52,12 +51,14 @@ def test_throughput_argument_validation():
         run_throughput(CODE10, cfg, w=1, f=1, frames=4, seconds=1.0)
     with pytest.raises(ValueError):
         run_throughput(CODE10, cfg, w=1, f=1, frames=0)
+    for f in (0, -1):
+        with pytest.raises(ValueError):
+            run_throughput(CODE10, cfg, w=1, f=f, frames=4)
 
 
 def test_throughput_seconds_mode():
-    cfg = DecoderConfig(schedule="layered", max_iterations=5)
-    r = run_throughput(CODE10, cfg, w=1, f=4, seconds=0.1, repeats=1,
-                       backend="numpy")[0]
+    cfg = DecoderConfig(schedule="layered", max_iterations=5, backend="numpy")
+    r = run_throughput(CODE10, cfg, w=1, f=4, seconds=0.1, repeats=1)[0]
     assert r.frames_decoded >= 4
     assert r.wall_time >= 0.1
 
@@ -67,9 +68,9 @@ def test_throughput_counts_jobs_under_optimize():
     script = ("from streamdec import DecoderConfig, random_regular_code\n"
               "from streamdec.bench import run_throughput\n"
               "code = random_regular_code(96, 48, 6, seed=0)\n"
-              "cfg = DecoderConfig(schedule='flooding', max_iterations=10)\n"
-              "r, = run_throughput(code, cfg, w=2, f=2, frames=8, repeats=1,\n"
+              "cfg = DecoderConfig(schedule='flooding', max_iterations=10,\n"
               "                    backend='numpy')\n"
+              "r, = run_throughput(code, cfg, w=2, f=2, frames=8, repeats=1)\n"
               "print(r.frames_decoded)\n")
     proc = subprocess.run([sys.executable, "-O", "-c", script],
                           capture_output=True, text=True)
@@ -82,13 +83,13 @@ def test_decode_time_scales_with_iterations():
     # The host's speed drifts, so the two settings alternate run by run and
     # the ratio is of decode time summed over 20 runs of each
     code = random_regular_code(576, 288, 6, seed=0)
-    configs = {iters: DecoderConfig(schedule="layered", max_iterations=iters)
+    configs = {iters: DecoderConfig(schedule="layered", max_iterations=iters,
+                                    backend="numpy")
                for iters in (5, 10)}
     decode = dict.fromkeys(configs, 0.0)
     for _ in range(20):
         for iters, cfg in configs.items():
-            run, = run_throughput(code, cfg, w=1, f=32, frames=64, repeats=1,
-                                  backend="numpy")
+            run, = run_throughput(code, cfg, w=1, f=32, frames=64, repeats=1)
             decode[iters] += run.per_phase["decode"]
     ratio = decode[10] / decode[5]
     assert 1.6 <= ratio <= 2.4, f"decode ratio {ratio:.2f} outside [1.6, 2.4]"
@@ -96,7 +97,7 @@ def test_decode_time_scales_with_iterations():
 
 def test_ber_noiseless_is_error_free():
     results = run_ber(CODE10, LAYERED10, ebno_list=[4.0], frames=64,
-                      noiseless=True, backend="numpy")
+                      noiseless=True)
     assert results[0].ber == 0.0 and results[0].fer == 0.0
     assert results[0].bit_errors == 0 and results[0].frame_errors == 0
 
@@ -104,7 +105,7 @@ def test_ber_noiseless_is_error_free():
 def test_ber_counts_and_bounds():
     code = random_regular_code(96, 48, 6, seed=3)
     low, high = run_ber(code, LAYERED10, ebno_list=[1.0, 5.0], frames=200,
-                        seed=0, backend="numpy")
+                        seed=0)
     assert 0.0 <= high.ber <= low.ber <= 1.0
     assert 0.0 <= high.fer <= low.fer <= 1.0
     assert low.frames == high.frames == 200
@@ -112,16 +113,14 @@ def test_ber_counts_and_bounds():
 
 def test_ber_deterministic_and_chunk_invariant():
     code = random_regular_code(96, 48, 6, seed=3)
-    a = run_ber(code, LAYERED10, ebno_list=[2.0], frames=100, seed=9,
-                f=32, backend="numpy")
-    b = run_ber(code, LAYERED10, ebno_list=[2.0], frames=100, seed=9,
-                f=7, backend="numpy")
+    a = run_ber(code, LAYERED10, ebno_list=[2.0], frames=100, seed=9, f=32)
+    b = run_ber(code, LAYERED10, ebno_list=[2.0], frames=100, seed=9, f=7)
     assert a == b
 
 
 def test_ber_all_zeros_mode():
     results = run_ber(CODE10, LAYERED10, ebno_list=[6.0], frames=100,
-                      all_zeros=True, seed=1, backend="numpy")
+                      all_zeros=True, seed=1)
     assert results[0].frames == 100
     assert 0.0 <= results[0].ber <= 1.0
 
@@ -131,6 +130,9 @@ def test_ber_validation():
         run_ber(CODE10, LAYERED10, ebno_list=[], frames=10)
     with pytest.raises(ValueError):
         run_ber(CODE10, LAYERED10, ebno_list=[2.0], frames=0)
+    for f in (0, -1):
+        with pytest.raises(ValueError):
+            run_ber(CODE10, LAYERED10, ebno_list=[2.0], frames=10, f=f)
 
 
 def test_compare_layered_converges_no_slower():
@@ -225,6 +227,13 @@ def test_cli_usage_errors():
                     "--backend", "fortran"]) == 2
     assert run_cli(["ber", "--gen", "10,5,2,0", "--ebno", "2",
                     "--backend", "numpy,numba"]) == 2
+    # batch size below 1
+    assert run_cli(["ber", "--gen", "96,48,6,0", "--ebno", "1,2", "--frames",
+                    "64", "--batch", "-1"]) == 2
+    assert run_cli(["ber", "--gen", "96,48,6,0", "--ebno", "1,2", "--frames",
+                    "64", "--batch", "0"]) == 2
+    assert run_cli(["compare", "--gen", "96,48,6,0", "--ebno", "2", "--frames",
+                    "64", "--batch", "-1"]) == 2
     # unreadable code file
     assert run_cli(["ber", "--code", "/no/such/file.alist", "--ebno", "2"]) == 2
     # degenerate generation request

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from streamdec import (
+    HAVE_NUMBA,
     DecoderConfig,
     check_node_update,
-    decode_flooding,
     decode_frame,
-    decode_layered,
     from_dense,
     hard_decision,
     random_regular_code,
@@ -180,13 +179,11 @@ def test_normalized_min_sum_corrects_single_error(code10, schedule):
 def test_decode_validates_input(code10):
     config = cfg("flooding")
     with pytest.raises(ValueError):
-        decode_flooding(code10, np.zeros(9), config)
+        decode_frame(code10, np.zeros(9), config)
     with pytest.raises(ValueError):
         bad = np.zeros(10)
         bad[0] = np.nan
-        decode_flooding(code10, bad, config)
-    with pytest.raises(ValueError):
-        decode_layered(code10, np.zeros(10), config)  # schedule mismatch
+        decode_frame(code10, bad, config)
 
 
 def test_config_validation():
@@ -202,6 +199,11 @@ def test_config_validation():
         DecoderConfig(schedule="flooding", llr_clamp=0.0)
     with pytest.raises(ValueError):  # a degree-1 check would send inf
         DecoderConfig(schedule="layered", llr_clamp=float("inf"))
+    with pytest.raises(ValueError):
+        DecoderConfig(schedule="layered", backend="fortran")
+    if not HAVE_NUMBA:
+        with pytest.raises(ValueError):
+            DecoderConfig(schedule="flooding", backend="numba")
 
 
 # --- schedule-specific invariants -------------------------------------------
