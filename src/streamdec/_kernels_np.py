@@ -19,6 +19,18 @@ loops' ``norm * (sign * mag)``, clipped, bit for bit, signed zeros
 included.  Both schedules sweep in lockstep under ``_Lanes``: with early
 termination a converged lane leaves the working arrays, so its messages,
 posteriors and bits are never written again.
+
+The layered kernel keeps its check messages as one (edges, F) array per
+level, in ``plan.edge`` order, so a level step reads and writes them
+without a gather or scatter.  No array of a decode is then larger than
+its (n, F) block.  A single (edge_count, F) message array would be, and
+freeing it raises glibc's dynamic mmap threshold to its size, after which
+every thread's malloc arena keeps up to twice that size of freed memory.
+
+A kernel owns the (n, F) LLR block it is given: it clips the block in
+place and keeps it as its posterior buffer (layered) or intrinsic buffer
+(flooding), so the caller must not read the block afterwards.  A caller
+that needs its LLRs back passes a copy.
 """
 
 from __future__ import annotations
@@ -120,8 +132,9 @@ class _Lanes:
 
 
 def decode_flooding(code, llr, max_iters, early_term, norm, clamp):
-    """Two-phase min-sum.  Returns (bits, iterations, syndrome_ok, posterior)."""
-    intrinsic = np.clip(llr, -clamp, clamp)
+    """Two-phase min-sum over an owned llr block, which becomes the clipped
+    intrinsic buffer.  Returns (bits, iterations, syndrome_ok, posterior)."""
+    intrinsic = np.clip(llr, -clamp, clamp, out=llr)
     lanes = _Lanes(code, max_iters, early_term,
                    intrinsic.copy(), intrinsic, intrinsic[code.edge_var, :])
     for post, intrinsic, v2c in lanes:
@@ -139,26 +152,31 @@ def decode_flooding(code, llr, max_iters, early_term, norm, clamp):
 
 
 def _layered_level(code, plan, post, msg, norm, clamp):
-    """Update the rows of one level in place; they share no variable."""
-    ext = post[plan.var] - msg[plan.edge]
+    """Update the rows of one level in place; they share no variable.
+
+    msg holds the level's check messages, (edges, F) in ``plan.edge`` order.
+    """
+    ext = post[plan.var] - msg
     new = _check_rows(code, plan, ext, norm, clamp)
     ext += new
     np.clip(ext, -clamp, clamp, out=ext)
-    msg[plan.edge] = new
+    msg[...] = new
     post[plan.var] = ext
 
 
 def decode_layered(code, llr, max_iters, early_term, norm, clamp):
-    """Horizontal layered min-sum, posteriors updated in place.
+    """Horizontal layered min-sum over an owned llr block, which becomes
+    the posterior buffer, updated in place.
 
     Each sweep runs ``code.levels`` in order, one vectorised step per
     level.  Rows within a level share no variable, so the result equals
     visiting the rows one by one in ascending order.
     """
-    lanes = _Lanes(code, max_iters, early_term, np.clip(llr, -clamp, clamp),
-                   np.zeros((code.edge_count, llr.shape[1])))
-    for post, msg in lanes:
-        for plan in code.level_plans:
+    post = np.clip(llr, -clamp, clamp, out=llr)
+    lanes = _Lanes(code, max_iters, early_term, post,
+                   *(np.zeros((len(p.edge), llr.shape[1])) for p in code.level_plans))
+    for post, *msgs in lanes:
+        for plan, msg in zip(code.level_plans, msgs):
             _layered_level(code, plan, post, msg, norm, clamp)
     return lanes.result()
 

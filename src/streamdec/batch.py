@@ -90,5 +90,5 @@ def decode_batch(code: ParityCheckCode, batch: FrameBatch,
     """
     if batch.n != code.n:
         raise ValueError(f"batch n ({batch.n}) does not match code n ({code.n})")
-    bits, iters, ok, _ = _decode_lanes(code, batch.lanes(), config)
+    bits, iters, ok, _ = _decode_lanes(code, batch.lanes().copy(), config)
     return BatchOutcome(bits.T, iters, ok)

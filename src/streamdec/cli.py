@@ -9,7 +9,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .backend import HAVE_NUMBA, get_kernels
+from .backend import HAVE_NUMBA, active_backend, get_kernels
 from .bench import (
     BER_CSV_HEADER,
     COMPARE_CSV_HEADER,
@@ -73,7 +73,10 @@ def _load_code(args):
 
 def _parse_backends(text, allow_multi):
     if text in (None, "auto"):
-        return [None]
+        try:  # STREAMDEC_BACKEND, checked here rather than at the first decode
+            return [active_backend()]
+        except (ValueError, RuntimeError) as e:
+            raise UsageError(str(e))
     names = ["numpy", "numba"] if text == "both" else text.split(",")
     if len(names) > 1 and not allow_multi:
         raise UsageError("this subcommand takes a single --backend")

@@ -396,8 +396,13 @@ def systematic_form(code: ParityCheckCode) -> GeneratorForm:
     """Gaussian-eliminate H over GF(2) into a systematic generator.
 
     Column pivoting handles rank deficiency: k = n - rank(H), and the
-    non-pivot columns carry the message bits.
+    non-pivot columns carry the message bits.  The code is immutable, so
+    the form is computed at the first call and stored on it; later calls
+    return the same frozen form.
     """
+    form = getattr(code, "_systematic_form", None)
+    if form is not None:
+        return form
     rref, pivots = _gf2_rref(code.to_dense())
     r = len(pivots)
     k = code.n - r
@@ -408,7 +413,9 @@ def systematic_form(code: ParityCheckCode) -> GeneratorForm:
     parity_rows = rref[np.ix_(range(r), message_cols)].astype(np.uint8)
     perm.setflags(write=False)
     parity_rows.setflags(write=False)
-    return GeneratorForm(column_permutation=perm, parity_rows=parity_rows, k=k)
+    code._systematic_form = GeneratorForm(column_permutation=perm,
+                                          parity_rows=parity_rows, k=k)
+    return code._systematic_form
 
 
 def random_regular_code(n: int, m: int, row_degree: int, seed: int) -> ParityCheckCode:

@@ -40,7 +40,8 @@ class DecoderConfig:
     bounds the magnitude of every stored posterior and message.  backend
     names the kernel set, "numpy" or "numba"; None uses the process
     default (STREAMDEC_BACKEND, else numba when importable), resolved at
-    each decode.  Both sets give bit-identical results.
+    each decode and checked once when an engine starts.  Both sets give
+    bit-identical results.
     """
 
     schedule: str
@@ -97,7 +98,11 @@ def check_node_update(values, normalization: float = 1.0) -> np.ndarray:
 
 
 def _decode_lanes(code: ParityCheckCode, lanes: np.ndarray, config: DecoderConfig):
-    """Dispatch lane-major (n, F) LLRs to the config's kernel set."""
+    """Dispatch lane-major (n, F) LLRs to the config's kernel set.
+
+    Takes ownership of ``lanes``: the numpy kernels clip it in place and
+    decode in it, so a caller that keeps its LLRs passes a copy.
+    """
     if lanes.shape[0] != code.n:
         raise ValueError(f"LLR rows ({lanes.shape[0]}) do not match code n ({code.n})")
     if not np.isfinite(lanes).all():
@@ -110,7 +115,7 @@ def _decode_lanes(code: ParityCheckCode, lanes: np.ndarray, config: DecoderConfi
 
 def decode_frame(code: ParityCheckCode, frame, config: DecoderConfig) -> DecodeOutcome:
     """Decode one (n,) frame with the schedule and kernels the config selects."""
-    llr = np.asarray(frame, dtype=np.float64)
+    llr = np.array(frame, dtype=np.float64)  # a copy: the decode owns it
     if llr.shape != (code.n,):
         raise ValueError(f"frame must have shape ({code.n},)")
     bits, iters, ok, _ = _decode_lanes(code, llr.reshape(code.n, 1), config)

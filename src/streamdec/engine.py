@@ -1,18 +1,20 @@
 """Multi-stream decode engine.
 
-W worker threads each own a bounded FIFO of jobs.  A worker takes its
-stream's oldest job together with the jobs queued behind it, in FIFO
-order, while the group holds at most GROUP_LANES frames; it never waits
-for more.  It stacks the group's frames into one lane-major block, decodes
-it in one lockstep call and hands back one result per job, in FIFO order.
-Lanes are independent, so the results are bit-identical to decoding each
-job alone, and the group pays kernel dispatch and, on the numpy backend,
-GIL hand-offs once instead of once per job.  A job of more than
-GROUP_LANES / 2 frames is always decoded alone.  The numba kernels release
-the GIL for a whole decode, so streams overlap on real cores; numpy
-releases it only inside each array operation.  Dispatch picks the
-least-loaded stream (queued plus in-flight), breaking ties round-robin, so
-equally idle streams are filled in rotation.
+W worker threads each own a bounded FIFO of jobs.  A worker takes every
+job queued on its stream, in FIFO order, without waiting for more, stacks
+their frames into one lane-major block, decodes it in one lockstep call
+and hands back one result per job, in FIFO order.  Lanes are independent,
+so the results are bit-identical to decoding each job alone, and the
+group pays kernel dispatch and, on the numpy backend, GIL hand-offs once
+instead of once per job.  The residency rule below bounds a group at
+queue_depth jobs, so its memory grows with queue_depth * f lanes.  On
+the numpy backend a 576x288 decode peaks at about 27 KB per lane when
+layered and about 120 KB per lane when flooding, LLR block included.
+The numba kernels release the GIL for a
+whole decode, so streams overlap on real cores; numpy releases it only
+inside each array operation, which is why wide groups matter there.
+Dispatch picks the least-loaded stream (queued plus in-flight), breaking
+ties round-robin, so equally idle streams are filled in rotation.
 
 One lock guards all shared state, and threads wait only on conditions
 of that lock, so nothing polls.  Every accepted job ends completed
@@ -34,6 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .backend import get_kernels
 from .batch import BatchOutcome
 from .code import ParityCheckCode
 from .decoder import DecoderConfig, _decode_lanes
@@ -48,13 +51,18 @@ __all__ = [
 ]
 
 BACKPRESSURE_POLICIES = ("block", "reject")
-GROUP_LANES = 64  # most frames one worker decodes in one lockstep call
 
 
 @dataclass(frozen=True)
 class StreamConfig:
     """w parallel streams and f frames per batch; each stream holds at most
-    queue_depth + 1 jobs, queued or in flight."""
+    queue_depth + 1 jobs, queued or in flight.
+
+    A worker decodes all the jobs queued on its stream as one group of at
+    most queue_depth * f lanes, so queue_depth also sets the decode memory
+    per stream: for a 576x288 code on the numpy backend, about 27 KB per
+    lane layered and 120 KB per lane flooding.
+    """
 
     w: int = 1
     f: int = 32
@@ -119,6 +127,7 @@ class Engine:
 
     def __init__(self, code: ParityCheckCode, decoder_config: DecoderConfig,
                  stream_config: StreamConfig, job_hook=None):
+        get_kernels(decoder_config.backend)  # an unusable process default fails here
         self.code = code
         self.decoder_config = decoder_config
         self.stream_config = stream_config
@@ -129,7 +138,6 @@ class Engine:
         self._results = deque()
         self._streams = [_Stream(i, self._lock) for i in range(stream_config.w)]
         self._rr = stream_config.w - 1  # so the first pick lands on stream 0
-        self._group_jobs = max(1, GROUP_LANES // stream_config.f)
         self._accepted = 0
         self._completed = 0
         self._failures = []  # (job_id, exception), in the order they happened
@@ -215,8 +223,8 @@ class Engine:
             st.ready.wait_for(lambda: st.jobs or self._stopping)
             if not st.jobs:
                 return False
-            group = [st.jobs.popleft()
-                     for _ in range(min(self._group_jobs, len(st.jobs)))]
+            group = list(st.jobs)
+            st.jobs.clear()
             st.in_flight = len(group)
             self._space.notify_all()
         failures, ready = [], group
@@ -255,7 +263,8 @@ class Engine:
 
         Returns [(job_id, BatchOutcome)] in group order, each outcome made
         of row slices of the group's arrays, and the seconds spent packing,
-        decoding and slicing.
+        decoding and slicing.  The packed block is the decode's own: the
+        kernels clip it in place and keep their posteriors in it.
         """
         f = self.stream_config.f
         t0 = time.perf_counter()

@@ -99,6 +99,20 @@ def test_config_backend_reaches_kernels(monkeypatch):
         assert seen and set(seen) == {"numpy"}, name
 
 
+def test_engine_start_refuses_unusable_process_backend(monkeypatch):
+    # backend=None resolves STREAMDEC_BACKEND when the engine starts, so a bad
+    # process default fails there instead of in a worker
+    code = random_regular_code(24, 12, 6, seed=0)
+    config = DecoderConfig(schedule="layered")
+    monkeypatch.setenv("STREAMDEC_BACKEND", "metal")
+    with pytest.raises(ValueError, match="STREAMDEC_BACKEND"):
+        engine_start(code, config, StreamConfig(w=1, f=2))
+    if not HAVE_NUMBA:
+        monkeypatch.setenv("STREAMDEC_BACKEND", "numba")
+        with pytest.raises(RuntimeError, match="numba"):
+            engine_start(code, config, StreamConfig(w=1, f=2))
+
+
 @needs_numba
 @pytest.mark.parametrize("schedule", ["flooding", "layered"])
 @pytest.mark.parametrize("early", [True, False])
@@ -150,9 +164,9 @@ def _irregular_code(rng, m, n):
 
 def _assert_kernels_match(schedule, code, llr, early):
     """Assert both kernel sets agree; return how many distinct sweep counts."""
-    args = (code, llr, 8, early, 0.75, 12.0)
-    want = getattr(_kernels_np, f"decode_{schedule}")(*args)
-    got = getattr(_kernels_numba, f"decode_{schedule}")(*args)
+    args = (8, early, 0.75, 12.0)
+    want = getattr(_kernels_np, f"decode_{schedule}")(code, llr.copy(), *args)
+    got = getattr(_kernels_numba, f"decode_{schedule}")(code, llr.copy(), *args)
     for a, b in zip(want, got):
         assert a.dtype == b.dtype and np.array_equal(a, b)
     assert np.array_equal(np.signbit(want[3]), np.signbit(got[3]))  # zeros too

@@ -123,6 +123,21 @@ def test_lane_isolation(code10):
         assert out[s].iterations_run == base[s].iterations_run
 
 
+@pytest.mark.parametrize("schedule", SCHEDULES)
+def test_decode_leaves_input_unchanged(code10, schedule):
+    # the kernels clip the block they are given in place, so both entry
+    # points must hand them a copy; LLRs beyond llr_clamp would show a leak
+    config = DecoderConfig(schedule=schedule, max_iterations=4, llr_clamp=2.0)
+    frames = np.random.default_rng(8).normal(0.0, 6.0, (4, code10.n))
+    batch = interleave(frames)
+    before = batch.data.tobytes()
+    decode_batch(code10, batch, config)
+    assert batch.data.tobytes() == before
+    frame = frames[0].copy()
+    decode_frame(code10, frame, config)
+    assert frame.tobytes() == frames[0].tobytes()
+
+
 def test_decode_batch_dimension_mismatch(code10):
     config = DecoderConfig(schedule="flooding")
     other = random_regular_code(16, 8, 4, seed=2)

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from streamdec import DecoderConfig, from_dense, parse_alist, random_regular_code
+from streamdec.backend import HAVE_NUMBA
 from streamdec.bench import (
     BER_CSV_HEADER,
     COMPARE_CSV_HEADER,
@@ -238,6 +239,22 @@ def test_cli_usage_errors():
     assert run_cli(["ber", "--code", "/no/such/file.alist", "--ebno", "2"]) == 2
     # degenerate generation request
     assert run_cli(["gencode", "--gen", "10,2,2,0"]) == 2
+
+
+def test_cli_unusable_process_backend_is_a_usage_error(monkeypatch, capsys):
+    commands = [
+        ["ber", "--gen", "96,48,6,0", "--ebno", "2", "--frames", "8"],
+        ["compare", "--gen", "96,48,6,0", "--ebno", "2", "--frames", "8"],
+        ["throughput", "--gen", "96,48,6,0", "--frames", "8", "--batch", "4",
+         "--repeats", "1", "--backend", "auto"],
+    ]
+    bad = ["metal"] if HAVE_NUMBA else ["metal", "numba"]
+    for value in bad:
+        monkeypatch.setenv("STREAMDEC_BACKEND", value)
+        for argv in commands:
+            capsys.readouterr()
+            assert run_cli(argv) == 2, (value, argv[0])
+            assert "usage error" in capsys.readouterr().err
 
 
 def test_cli_module_entry_point(tmp_path):

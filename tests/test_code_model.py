@@ -230,6 +230,20 @@ def test_systematic_form_generated_codes():
             assert not syndrome(code, gen.encode(u)).any()
 
 
+def test_systematic_form_computed_once_per_code():
+    code = random_regular_code(48, 24, 6, seed=4)
+    gen = systematic_form(code)
+    assert systematic_form(code) is gen
+    for a in (gen.column_permutation, gen.parity_rows):
+        assert not a.flags.writeable
+    twin = random_regular_code(48, 24, 6, seed=4)
+    assert twin == code
+    other = systematic_form(twin)
+    assert other is not gen and other.k == gen.k
+    assert np.array_equal(other.column_permutation, gen.column_permutation)
+    assert np.array_equal(other.parity_rows, gen.parity_rows)
+
+
 def test_emit_alist_headers(code10):
     lines = emit_alist(code10).splitlines()
     assert lines[0] == "10 5"

@@ -235,10 +235,12 @@ def test_layered_posterior_consistency_per_row(code10, code40):
     for code in (code10, code40):
         llr = rng.normal(0, 3, (code.n, 2))
         post = np.clip(llr, -64, 64)
-        msg = np.zeros((code.edge_count, 2))
+        msg = np.zeros((code.edge_count, 2))  # by edge id
         for sweep in range(3):
             for plan in code.level_plans:
-                _layered_level(code, plan, post, msg, 1.0, 64.0)
+                level_msg = msg[plan.edge]  # as the kernel keeps them
+                _layered_level(code, plan, post, level_msg, 1.0, 64.0)
+                msg[plan.edge] = level_msg
                 for i in range(code.n):
                     lo, hi = code.col_ptr[i], code.col_ptr[i + 1]
                     want = llr[i] + msg[code.col_edge[lo:hi]].sum(axis=0)
@@ -251,9 +253,10 @@ def test_layered_updates_are_immediate(code40):
     # variables before any later level is touched
     llr = np.full((code40.n, 1), 2.0)
     post = llr.copy()
-    msg = np.zeros((code40.edge_count, 1))
+    plan = code40.level_plans[0]
+    msg = np.zeros((len(plan.edge), 1))
     first = code40.levels[0]
-    _layered_level(code40, code40.level_plans[0], post, msg, 1.0, 64.0)
+    _layered_level(code40, plan, post, msg, 1.0, 64.0)
     touched = sorted({i for j in first for i in code40.row_adj[j]})
     rest = [i for i in range(code40.n) if i not in touched]
     assert len(first) > 1 and rest

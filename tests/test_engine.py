@@ -198,6 +198,50 @@ def test_reject_backpressure_and_bounded_residency():
     assert len(list(eng.collect())) == 8
 
 
+def test_stream_decoding_a_full_group_takes_one_more_job(monkeypatch):
+    # f=32 and queue_depth 4: the in-flight group holds 128 lanes
+    widths = []
+    real = engine_mod._decode_lanes
+
+    def spy(code, lanes, *args):
+        widths.append(lanes.shape[1])
+        return real(code, lanes, *args)
+
+    monkeypatch.setattr(engine_mod, "_decode_lanes", spy)
+    gates = {0: threading.Event(), 1: threading.Event()}
+    started = set()
+
+    def hook(jid):
+        started.add(jid)
+        if jid in gates:
+            gates[jid].wait()
+
+    cfg = StreamConfig(w=1, f=32, queue_depth=4, backpressure="reject")
+    eng = engine_start(CODE, DCFG, cfg, job_hook=hook)
+    frames = job_frames(7, 32)
+    assert eng.submit(DecodeJob(job_id=0, frames=frames[0])).accepted
+    wait_for(lambda: started == {0})
+    for i in range(1, 5):
+        assert eng.submit(DecodeJob(job_id=i, frames=frames[i])).accepted
+    full = eng.submit(DecodeJob(job_id=5, frames=frames[5]))
+    assert not full.accepted and full.reason == "queues full"
+    gates[0].set()
+    # jobs 1-4, queue_depth of them, are one group in flight
+    wait_for(lambda: 1 in started)
+    assert eng.resident_jobs() == cfg.queue_depth
+    assert eng.submit(DecodeJob(job_id=5, frames=frames[5])).accepted
+    full = eng.submit(DecodeJob(job_id=6, frames=frames[6]))
+    assert not full.accepted and full.reason == "queues full"
+    assert eng.resident_jobs() == cfg.queue_depth + 1
+    gates[1].set()
+    assert eng.shutdown(drain=True) == ShutdownSummary(6, 6, 0, ())
+    assert widths == [32, 128, 32]
+    got = list(eng.collect())
+    assert [jid for jid, _ in got] == list(range(6))
+    for jid, outcome in got:
+        assert_standalone(outcome, frames[jid])
+
+
 def test_block_backpressure_blocks_then_proceeds():
     gate = threading.Event()
     cfg = StreamConfig(w=1, f=2, queue_depth=1, backpressure="block")
@@ -360,11 +404,11 @@ def assert_standalone(outcome, frames):
     assert np.array_equal(outcome.syndrome_ok, want.syndrome_ok)
 
 
-def test_queued_jobs_share_one_decode_up_to_group_lanes(monkeypatch):
+def test_worker_decodes_its_whole_queue_as_one_group(monkeypatch):
     eng, frames, widths = stalled_group(monkeypatch, f=32)
     assert eng.shutdown(drain=True) == ShutdownSummary(4, 4, 0, ())
-    # job 0 alone, jobs 1 and 2 as one 64-lane group, then job 3
-    assert widths == [32, 64, 32]
+    # job 0 alone, then jobs 1-3 as one 96-lane group
+    assert widths == [32, 96]
     got = list(eng.collect())
     assert [jid for jid, _ in got] == [0, 1, 2, 3]
     for jid, outcome in got:
@@ -387,13 +431,12 @@ def test_decode_failure_fails_the_whole_group(monkeypatch):
     eng, frames, widths = stalled_group(monkeypatch, f=32, fail_above=32)
     with pytest.raises(RuntimeError, match="worker failed on job 1"):
         eng.shutdown(drain=True)
-    assert widths == [32, 64, 32]
+    assert widths == [32, 96]
     got = list(eng.collect())
-    assert [jid for jid, _ in got] == [0, 3]
-    for jid, outcome in got:
-        assert_standalone(outcome, frames[jid])
+    assert [jid for jid, _ in got] == [0]
+    assert_standalone(got[0][1], frames[0])
     summary = eng.shutdown()
-    assert summary == ShutdownSummary(4, 2, 0, (), failed=2, failed_job_ids=(1, 2))
+    assert summary == ShutdownSummary(4, 1, 0, (), failed=3, failed_job_ids=(1, 2, 3))
     assert summary.accepted == summary.completed + summary.cancelled + summary.failed
     assert eng.resident_jobs() == 0
 
