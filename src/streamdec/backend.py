@@ -3,9 +3,10 @@
 Two interchangeable kernel sets exist: numba-jitted loops and pure
 numpy.  Both follow the same per-lane arithmetic order, so they produce
 bit-identical decodes.  A decoder configuration names its set in
-DecoderConfig(backend=...); with backend=None each decode uses the
-process default, which the STREAMDEC_BACKEND environment variable picks
-("numba", "numpy", or "auto"; auto prefers numba when importable).
+DecoderConfig(backend=...); backend=None is replaced, when the config
+is made, by the process default, which the STREAMDEC_BACKEND environment
+variable picks ("numba", "numpy", or "auto"; auto prefers numba when
+importable).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ def active_backend() -> str:
         return "numpy"
     if choice == "numba":
         if not HAVE_NUMBA:
-            raise RuntimeError(f"{_ENV_VAR}=numba but numba is not importable")
+            raise ValueError(f"{_ENV_VAR}=numba but numba is not importable")
         return "numba"
     raise ValueError(f"{_ENV_VAR} must be 'auto', 'numba' or 'numpy', got {choice!r}")
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backend import get_kernels
 from .batch import decode_batch, interleave
 from .channel import AwgnChannel, llr_from_channel, modulate_bpsk, transmit
 from .code import ParityCheckCode, systematic_form
@@ -119,7 +118,6 @@ def run_throughput(code: ParityCheckCode, decoder_config: DecoderConfig,
 
     n_jobs = -(-frames // f) if frames is not None else 0
     pool = _workload_pool(code, max(n_jobs, 8), f, seed)
-    backend_name = get_kernels(decoder_config.backend).NAME
     results = []
     for rep in range(repeats):
         eng = engine_start(code, decoder_config,
@@ -153,7 +151,7 @@ def run_throughput(code: ParityCheckCode, decoder_config: DecoderConfig,
         frames_decoded = done * f
         results.append(BenchResult(
             n=code.n, m=code.m, schedule=decoder_config.schedule,
-            backend=backend_name, w=w, f=f,
+            backend=decoder_config.backend, w=w, f=f,
             iterations=decoder_config.max_iterations, repeat=rep,
             frames_decoded=frames_decoded, wall_time=wall,
             throughput_mbps=frames_decoded * code.n / wall / 1e6,
@@ -165,12 +163,45 @@ def median_throughput(results: list[BenchResult]) -> float:
     return float(np.median([r.throughput_mbps for r in results]))
 
 
-def _point_llrs(ch, symbols, start, noiseless):
-    """LLR block (count, n) of one batch's BPSK symbols, frames start, start + 1, ..."""
-    if noiseless:
-        return 4.0 * symbols
-    return np.stack([llr_from_channel(ch, transmit(ch, x, frame_index=start + j))
-                     for j, x in enumerate(symbols)])
+def _sweep(code, configs, ebno_list, frames, seed, f, all_zeros, noiseless=False):
+    """The loop of run_ber and run_compare_schedules.
+
+    Each batch of ``f`` frames is encoded once and sent at every point;
+    each point's LLR block is decoded under every config.  Returns the
+    points' channels, k, and per config and point the sums [bit errors on
+    message positions, frame errors, iterations run, converged frames].
+    """
+    if not ebno_list:
+        raise ValueError("ebno_list must be non-empty")
+    if frames < 1:
+        raise ValueError("frames must be >= 1")
+    if f < 1:
+        raise ValueError("f must be >= 1")
+    gen = systematic_form(code)
+    k = gen.k
+    if all_zeros:
+        messages = np.zeros((frames, k), dtype=np.uint8)
+    else:
+        mrng = np.random.default_rng(np.random.SeedSequence((seed, 0x5E)))
+        messages = mrng.integers(0, 2, size=(frames, k), dtype=np.uint8)
+
+    channels = [AwgnChannel(float(ebno), k / code.n, seed=seed) for ebno in ebno_list]
+    tally = np.zeros((len(configs), len(channels), 4), dtype=np.int64)
+    for start in range(0, frames, f):
+        sent = messages[start:start + f]
+        symbols = modulate_bpsk(np.stack([gen.encode(u) for u in sent]))
+        for p, ch in enumerate(channels):
+            lanes = interleave(4.0 * symbols if noiseless else np.stack([
+                llr_from_channel(ch, transmit(ch, x, frame_index=start + j))
+                for j, x in enumerate(symbols)]))
+            for c, cfg in enumerate(configs):
+                outcome = decode_batch(code, lanes, cfg)
+                errs = np.count_nonzero(outcome.bits[:, gen.message_columns] != sent,
+                                        axis=1)
+                tally[c, p] += (errs.sum(), np.count_nonzero(errs),
+                                outcome.iterations.sum(),
+                                np.count_nonzero(outcome.syndrome_ok))
+    return channels, k, tally.tolist()
 
 
 def run_ber(code: ParityCheckCode, decoder_config: DecoderConfig,
@@ -184,37 +215,11 @@ def run_ber(code: ParityCheckCode, decoder_config: DecoderConfig,
     across Eb/N0 points so curves differ only through the noise scale.
     Each batch of ``f`` frames is encoded once and sent at every point.
     """
-    if not ebno_list:
-        raise ValueError("ebno_list must be non-empty")
-    if frames < 1:
-        raise ValueError("frames must be >= 1")
-    if f < 1:
-        raise ValueError("f must be >= 1")
-    gen = systematic_form(code)
-    k = gen.k
-    rate = k / code.n
-    mrng = np.random.default_rng(np.random.SeedSequence((seed, 0x5E)))
-    if all_zeros:
-        messages = np.zeros((frames, k), dtype=np.uint8)
-    else:
-        messages = mrng.integers(0, 2, size=(frames, k), dtype=np.uint8)
-
-    channels = [AwgnChannel(float(ebno), rate, seed=seed) for ebno in ebno_list]
-    bit_errors = [0] * len(channels)
-    frame_errors = [0] * len(channels)
-    for start in range(0, frames, f):
-        sent = messages[start:start + f]
-        symbols = modulate_bpsk(np.stack([gen.encode(u) for u in sent]))
-        for p, ch in enumerate(channels):
-            block = _point_llrs(ch, symbols, start, noiseless)
-            outcome = decode_batch(code, interleave(block), decoder_config)
-            errs = np.count_nonzero(outcome.bits[:, gen.message_columns] != sent,
-                                    axis=1)
-            bit_errors[p] += int(errs.sum())
-            frame_errors[p] += int(np.count_nonzero(errs))
+    channels, k, tally = _sweep(code, [decoder_config], ebno_list, frames, seed,
+                                f, all_zeros, noiseless)
     return [BerResult(ebno_db=ch.ebno_db, frames=frames, bit_errors=be,
                       frame_errors=fe, ber=be / (frames * k), fer=fe / frames)
-            for ch, be, fe in zip(channels, bit_errors, frame_errors)]
+            for ch, (be, fe, _, _) in zip(channels, tally[0])]
 
 
 def run_compare_schedules(code: ParityCheckCode, ebno_list: list[float],
@@ -224,42 +229,19 @@ def run_compare_schedules(code: ParityCheckCode, ebno_list: list[float],
                           backend: str | None = None) -> list[CompareResult]:
     """Mean iterations-to-convergence, flooding vs layered, shared noise.
 
-    Both schedules decode identical LLR realizations (all-zeros codeword
-    methodology) with early termination on; frames that never converge
-    count as max_iterations.
+    Both schedules decode the same LLR blocks as ``run_ber`` with
+    ``all_zeros=True`` (all-zeros codeword methodology), with early
+    termination on; frames that never converge count as max_iterations,
+    which is the iteration count the kernels report for them.
     """
-    if not ebno_list:
-        raise ValueError("ebno_list must be non-empty")
-    if frames < 1:
-        raise ValueError("frames must be >= 1")
-    if f < 1:
-        raise ValueError("f must be >= 1")
-    gen = systematic_form(code)
-    rate = gen.k / code.n
-    sym = modulate_bpsk(np.zeros(code.n, dtype=np.uint8))
-    configs = {
-        s: DecoderConfig(schedule=s, max_iterations=max_iterations,
-                         early_termination=True, normalization=normalization,
-                         backend=backend)
-        for s in ("flooding", "layered")
-    }
-    out = []
-    for ebno in ebno_list:
-        ch = AwgnChannel(float(ebno), rate, seed=seed)
-        iters = {s: [] for s in configs}
-        converged = {s: 0 for s in configs}
-        for start in range(0, frames, f):
-            symbols = np.broadcast_to(sym, (min(f, frames - start), code.n))
-            lanes = interleave(_point_llrs(ch, symbols, start, noiseless=False))
-            for s, cfg in configs.items():
-                outcome = decode_batch(code, lanes, cfg)
-                iters[s].append(np.where(outcome.syndrome_ok, outcome.iterations,
-                                         max_iterations))
-                converged[s] += int(np.count_nonzero(outcome.syndrome_ok))
-        out.append(CompareResult(
-            ebno_db=float(ebno), frames=frames,
-            mean_iters_flooding=float(np.mean(np.concatenate(iters["flooding"]))),
-            mean_iters_layered=float(np.mean(np.concatenate(iters["layered"]))),
-            converged_flooding=converged["flooding"],
-            converged_layered=converged["layered"]))
-    return out
+    configs = [DecoderConfig(schedule=s, max_iterations=max_iterations,
+                             early_termination=True, normalization=normalization,
+                             backend=backend)
+               for s in ("flooding", "layered")]
+    channels, _, (flooding, layered) = _sweep(code, configs, ebno_list, frames,
+                                              seed, f, all_zeros=True)
+    return [CompareResult(ebno_db=ch.ebno_db, frames=frames,
+                          mean_iters_flooding=fl[2] / frames,
+                          mean_iters_layered=la[2] / frames,
+                          converged_flooding=fl[3], converged_layered=la[3])
+            for ch, fl, la in zip(channels, flooding, layered)]

@@ -6,10 +6,9 @@ outputs are byte-stable across runs with the same arguments.
 """
 
 import argparse
+import os
 import sys
-from dataclasses import replace
 
-from .backend import HAVE_NUMBA, active_backend, get_kernels
 from .bench import (
     BER_CSV_HEADER,
     COMPARE_CSV_HEADER,
@@ -72,23 +71,25 @@ def _load_code(args):
 
 
 def _parse_backends(text, allow_multi):
+    """--backend as a list of names; None is the process default, which
+    DecoderConfig resolves and checks like any name."""
     if text in (None, "auto"):
-        try:  # STREAMDEC_BACKEND, checked here rather than at the first decode
-            return [active_backend()]
-        except (ValueError, RuntimeError) as e:
-            raise UsageError(str(e))
+        return [None]
     names = ["numpy", "numba"] if text == "both" else text.split(",")
     if len(names) > 1 and not allow_multi:
         raise UsageError("this subcommand takes a single --backend")
-    out = []
-    for name in names:
-        name = name.strip()
-        if name not in ("numpy", "numba"):
-            raise UsageError(f"unknown backend {name!r}")
-        if name == "numba" and not HAVE_NUMBA:
-            raise UsageError("numba backend requested but numba is not installed")
-        out.append(name)
-    return out
+    return [name.strip() for name in names]
+
+
+def _check_writable(path):
+    """Refuse an output path that cannot be written, before any work."""
+    if path is None:
+        return
+    parent = os.path.dirname(os.path.abspath(path))
+    if (os.path.isdir(path) or not os.path.isdir(parent)
+            or not os.access(parent, os.W_OK)
+            or (os.path.exists(path) and not os.access(path, os.W_OK))):
+        raise UsageError(f"cannot write {path}")
 
 
 def _emit(lines, csv_path):
@@ -173,18 +174,18 @@ def build_parser():
 
 def _cmd_throughput(args):
     code = _load_code(args)
-    cfg = DecoderConfig(schedule=args.schedule, max_iterations=args.iters,
-                        early_termination=args.early_term == "on",
-                        normalization=args.normalization)
+    configs = [DecoderConfig(schedule=args.schedule, max_iterations=args.iters,
+                             early_termination=args.early_term == "on",
+                             normalization=args.normalization, backend=backend)
+               for backend in _parse_backends(args.backend, allow_multi=True)]
     lines = [THROUGHPUT_CSV_HEADER]
     medians = []
-    for backend in _parse_backends(args.backend, allow_multi=True):
-        results = run_throughput(code, replace(cfg, backend=backend),
-                                 w=args.streams, f=args.batch,
+    for cfg in configs:
+        results = run_throughput(code, cfg, w=args.streams, f=args.batch,
                                  frames=args.frames, seconds=args.seconds,
                                  repeats=args.repeats, seed=args.seed)
         lines.extend(r.csv_row() for r in results)
-        medians.append((results[0].backend, median_throughput(results)))
+        medians.append((cfg.backend, median_throughput(results)))
     _emit(lines, args.csv)
     for name, med in medians:
         print(f"# median throughput ({name}): {med:.4f} Mbps")
@@ -201,9 +202,8 @@ def _cmd_ber(args):
                       frames=args.frames, seed=args.seed, f=args.batch,
                       all_zeros=args.all_zeros, noiseless=args.noiseless)
     k = systematic_form(code).k
-    name = get_kernels(cfg.backend).NAME
     lines = [BER_CSV_HEADER]
-    lines.extend(r.csv_row(code.n, code.m, k, args.schedule, name, args.iters)
+    lines.extend(r.csv_row(code.n, code.m, k, args.schedule, cfg.backend, args.iters)
                  for r in results)
     _emit(lines, args.csv)
     return 0
@@ -211,16 +211,17 @@ def _cmd_ber(args):
 
 def _cmd_compare(args):
     code = _load_code(args)
-    backend = _parse_backends(args.backend, allow_multi=False)[0]
+    # a config resolves the process default, so the CSV names the kernels run
+    backend = DecoderConfig(schedule="layered", backend=_parse_backends(
+        args.backend, allow_multi=False)[0]).backend
     results = run_compare_schedules(code, ebno_list=_parse_ebno(args.ebno),
                                     frames=args.frames,
                                     max_iterations=args.iters, seed=args.seed,
                                     f=args.batch,
                                     normalization=args.normalization,
                                     backend=backend)
-    name = get_kernels(backend).NAME
     lines = [COMPARE_CSV_HEADER]
-    lines.extend(r.csv_row(code.n, code.m, name, args.iters) for r in results)
+    lines.extend(r.csv_row(code.n, code.m, backend, args.iters) for r in results)
     _emit(lines, args.csv)
     bad = [r for r in results if r.mean_iters_layered > r.mean_iters_flooding]
     if bad:
@@ -258,6 +259,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_writable(args.out if args.command == "gencode" else args.csv)
         return _COMMANDS[args.command](args)
     except (UsageError, ValueError) as e:
         print(f"usage error: {e}", file=sys.stderr)

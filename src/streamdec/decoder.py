@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels_np import _check_messages
-from .backend import available_backends, get_kernels
+from .backend import active_backend, available_backends, get_kernels
 from .code import ParityCheckCode
 
 __all__ = [
@@ -38,9 +38,10 @@ class DecoderConfig:
     normalization scales every check-to-variable message (1.0 keeps
     plain min-sum; 0.75 is the usual normalized variant).  llr_clamp
     bounds the magnitude of every stored posterior and message.  backend
-    names the kernel set, "numpy" or "numba"; None uses the process
-    default (STREAMDEC_BACKEND, else numba when importable), resolved at
-    each decode and checked once when an engine starts.  Both sets give
+    names the kernel set, "numpy" or "numba"; None is replaced, when the
+    config is made, by the process default (STREAMDEC_BACKEND, else numba
+    when importable), so ``config.backend`` always names a kernel set and
+    an unusable default raises ValueError here.  Both sets give
     bit-identical results.
     """
 
@@ -60,8 +61,11 @@ class DecoderConfig:
             raise ValueError("normalization must lie in (0, 1]")
         if not (self.llr_clamp > 0.0 and math.isfinite(self.llr_clamp)):
             raise ValueError("llr_clamp must be positive and finite")
-        if self.backend not in (None, *available_backends()):
-            raise ValueError(f"backend must be None or one of {available_backends()}")
+        if self.backend is None:
+            object.__setattr__(self, "backend", active_backend())
+        elif self.backend not in available_backends():
+            raise ValueError(f"backend must be None or one of {available_backends()}, "
+                             f"got {self.backend!r}")
 
 
 @dataclass(frozen=True)

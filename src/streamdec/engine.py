@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backend import get_kernels
 from .batch import BatchOutcome
 from .code import ParityCheckCode
 from .decoder import DecoderConfig, _decode_lanes
@@ -127,7 +126,6 @@ class Engine:
 
     def __init__(self, code: ParityCheckCode, decoder_config: DecoderConfig,
                  stream_config: StreamConfig, job_hook=None):
-        get_kernels(decoder_config.backend)  # an unusable process default fails here
         self.code = code
         self.decoder_config = decoder_config
         self.stream_config = stream_config

@@ -1,7 +1,5 @@
 """Backend selection and numpy/numba bit-compatibility."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -100,56 +98,25 @@ def test_config_backend_reaches_kernels(monkeypatch):
 
 
 def test_engine_start_refuses_unusable_process_backend(monkeypatch):
-    # backend=None resolves STREAMDEC_BACKEND when the engine starts, so a bad
-    # process default fails there instead of in a worker
+    # backend=None resolves STREAMDEC_BACKEND when the config is made, so a
+    # bad process default fails there, before any engine or decode exists
     code = random_regular_code(24, 12, 6, seed=0)
+    monkeypatch.delenv("STREAMDEC_BACKEND", raising=False)
     config = DecoderConfig(schedule="layered")
-    monkeypatch.setenv("STREAMDEC_BACKEND", "metal")
-    with pytest.raises(ValueError, match="STREAMDEC_BACKEND"):
-        engine_start(code, config, StreamConfig(w=1, f=2))
-    if not HAVE_NUMBA:
-        monkeypatch.setenv("STREAMDEC_BACKEND", "numba")
-        with pytest.raises(RuntimeError, match="numba"):
-            engine_start(code, config, StreamConfig(w=1, f=2))
-
-
-@needs_numba
-@pytest.mark.parametrize("schedule", ["flooding", "layered"])
-@pytest.mark.parametrize("early", [True, False])
-def test_backends_bit_identical(schedule, early):
-    code = random_regular_code(128, 64, 6, seed=13)
-    ch = AwgnChannel(2.0, 0.5, seed=31)
-    sym = modulate_bpsk(np.zeros(code.n, dtype=np.uint8))
-    frames = np.array([llr_from_channel(ch, transmit(ch, sym, i)) for i in range(16)])
-    config = DecoderConfig(schedule=schedule, max_iterations=15,
-                           early_termination=early, normalization=0.75)
-    batch = interleave(frames)
-    via_np = decode_batch(code, batch, replace(config, backend="numpy"))
-    via_nb = decode_batch(code, batch, replace(config, backend="numba"))
-    for a, b in zip(via_np, via_nb):
-        assert np.array_equal(a.bits, b.bits)
-        assert a.iterations_run == b.iterations_run
-        assert a.syndrome_ok == b.syndrome_ok
-
-
-@needs_numba
-def test_backends_identical_with_degree_one_checks():
-    h = np.array([[1, 0, 0, 0],
-                  [1, 1, 1, 0],
-                  [0, 1, 1, 1]], dtype=np.uint8)
-    from streamdec import from_dense
-    code = from_dense(h)
-    rng = np.random.default_rng(6)
-    frames = rng.normal(0, 4, (8, 4))
-    for schedule in ("flooding", "layered"):
-        config = DecoderConfig(schedule=schedule, max_iterations=8,
-                               early_termination=True, normalization=0.75,
-                               llr_clamp=12.0)
-        a = decode_batch(code, interleave(frames), replace(config, backend="numpy"))
-        b = decode_batch(code, interleave(frames), replace(config, backend="numba"))
-        for x, y in zip(a, b):
-            assert np.array_equal(x.bits, y.bits)
-            assert x.iterations_run == y.iterations_run
+    assert config.backend == active_backend()
+    bad = ["metal"] if HAVE_NUMBA else ["metal", "numba"]
+    for value in bad:
+        monkeypatch.setenv("STREAMDEC_BACKEND", value)
+        with pytest.raises(ValueError, match="STREAMDEC_BACKEND"):
+            DecoderConfig(schedule="layered")
+        with pytest.raises(ValueError, match="STREAMDEC_BACKEND"):
+            engine_start(code, DecoderConfig(schedule="layered"),
+                         StreamConfig(w=1, f=2))
+    # a config made earlier keeps the kernels it named
+    eng = engine_start(code, config, StreamConfig(w=1, f=2))
+    assert eng.submit(eng.make_job(np.full((2, code.n), 3.0))).accepted
+    eng.shutdown()
+    assert [out.syndrome_ok.all() for _, out in eng.collect()] == [True]
 
 
 def _irregular_code(rng, m, n):
@@ -162,9 +129,9 @@ def _irregular_code(rng, m, n):
             return from_dense(h)
 
 
-def _assert_kernels_match(schedule, code, llr, early):
+def _assert_kernels_match(schedule, code, llr, early, iterations=8, clamp=12.0):
     """Assert both kernel sets agree; return how many distinct sweep counts."""
-    args = (8, early, 0.75, 12.0)
+    args = (iterations, early, 0.75, clamp)
     want = getattr(_kernels_np, f"decode_{schedule}")(code, llr.copy(), *args)
     got = getattr(_kernels_numba, f"decode_{schedule}")(code, llr.copy(), *args)
     for a, b in zip(want, got):
@@ -178,7 +145,7 @@ def _assert_kernels_match(schedule, code, llr, early):
 def test_row_loop_kernels_match_numpy(schedule, early):
     # _kernels_numba imports without numba too (its njit then returns the
     # plain function), so its row-by-row loops check the vectorised numpy
-    # kernels on every host
+    # kernels on every host; with numba they are the jitted kernels
     rng = np.random.default_rng(17)
     staggered = False
     for _ in range(4):
@@ -204,3 +171,13 @@ def test_row_loop_kernels_match_numpy(schedule, early):
     code = ParityCheckCode([[0], [1], [0], [2], [1]], 3)
     assert code.max_row_degree == 1
     _assert_kernels_match(schedule, code, rng.normal(0, 2, (code.n, 4)), early)
+    # a check of degree 1 beside wider checks
+    code = from_dense([[1, 0, 0, 0], [1, 1, 1, 0], [0, 1, 1, 1]])
+    _assert_kernels_match(schedule, code,
+                          np.random.default_rng(6).normal(0, 4, (8, 4)).T, early)
+    # all-zeros codeword through AWGN, 128x64 at F=16, 15 sweeps, default clamp
+    code = random_regular_code(128, 64, 6, seed=13)
+    ch = AwgnChannel(2.0, 0.5, seed=31)
+    sym = modulate_bpsk(np.zeros(code.n, dtype=np.uint8))
+    llr = np.array([llr_from_channel(ch, transmit(ch, sym, i)) for i in range(16)]).T
+    _assert_kernels_match(schedule, code, llr, early, iterations=15, clamp=64.0)

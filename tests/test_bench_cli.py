@@ -3,9 +3,21 @@
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from streamdec import DecoderConfig, from_dense, parse_alist, random_regular_code
+from streamdec import (
+    AwgnChannel,
+    DecoderConfig,
+    decode_frame,
+    from_dense,
+    llr_from_channel,
+    modulate_bpsk,
+    parse_alist,
+    random_regular_code,
+    systematic_form,
+    transmit,
+)
 from streamdec.backend import HAVE_NUMBA
 from streamdec.bench import (
     BER_CSV_HEADER,
@@ -136,6 +148,82 @@ def test_ber_validation():
             run_ber(CODE10, LAYERED10, ebno_list=[2.0], frames=10, f=f)
 
 
+def _reference_sweep(code, configs, ebno_list, frames, seed, all_zeros):
+    """Per-frame sweep from the public API: one decode_frame per (config,
+    point, frame).  Returns [config][point] = (bit errors, frame errors,
+    iterations with unconverged frames counted as max_iterations,
+    converged frames)."""
+    gen = systematic_form(code)
+    if all_zeros:
+        messages = np.zeros((frames, gen.k), dtype=np.uint8)
+    else:  # run_ber's documented message stream
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5E)))
+        messages = rng.integers(0, 2, size=(frames, gen.k), dtype=np.uint8)
+    out = []
+    for cfg in configs:
+        rows = []
+        for ebno in ebno_list:
+            ch = AwgnChannel(ebno, gen.k / code.n, seed=seed)
+            bit_errors = frame_errors = iters = converged = 0
+            for j, msg in enumerate(messages):
+                x = modulate_bpsk(gen.encode(msg))
+                o = decode_frame(code, llr_from_channel(ch, transmit(ch, x, j)), cfg)
+                errs = int(np.count_nonzero(o.bits[gen.message_columns] != msg))
+                bit_errors += errs
+                frame_errors += errs > 0
+                iters += o.iterations_run if o.syndrome_ok else cfg.max_iterations
+                converged += o.syndrome_ok
+            rows.append((bit_errors, frame_errors, iters, converged))
+        out.append(rows)
+    return out
+
+
+CODE96 = random_regular_code(96, 48, 6, seed=3)
+
+
+@pytest.mark.parametrize("all_zeros", [False, True])
+def test_ber_matches_per_frame_reference(all_zeros):
+    # 37 frames at f=8: four full batches and a short one of 5
+    cfg = DecoderConfig(schedule="flooding", max_iterations=8,
+                        early_termination=True, normalization=0.75,
+                        backend="numpy")
+    ebno = [1.5, 3.0]
+    results = run_ber(CODE96, cfg, ebno, frames=37, seed=4, f=8,
+                      all_zeros=all_zeros)
+    ref, = _reference_sweep(CODE96, [cfg], ebno, 37, 4, all_zeros)
+    k = systematic_form(CODE96).k
+    assert [r.ebno_db for r in results] == ebno
+    for r, (bit_errors, frame_errors, _, _) in zip(results, ref):
+        assert (r.frames, r.bit_errors, r.frame_errors) == (37, bit_errors, frame_errors)
+        assert r.ber == bit_errors / (37 * k) and r.fer == frame_errors / 37
+    assert any(be > 0 for be, *_ in ref)  # the low point must have errors
+
+
+def test_compare_matches_per_frame_reference():
+    ebno = [1.5, 3.0]
+    results = run_compare_schedules(CODE96, ebno, frames=37, max_iterations=8,
+                                    seed=4, f=8, normalization=0.75,
+                                    backend="numpy")
+    configs = [DecoderConfig(schedule=s, max_iterations=8, early_termination=True,
+                             normalization=0.75, backend="numpy")
+               for s in ("flooding", "layered")]
+    flooding, layered = _reference_sweep(CODE96, configs, ebno, 37, 4, all_zeros=True)
+    for r, p, fl, la in zip(results, ebno, flooding, layered):
+        assert (r.ebno_db, r.frames) == (p, 37)
+        assert r.mean_iters_flooding == fl[2] / 37
+        assert r.mean_iters_layered == la[2] / 37
+        assert (r.converged_flooding, r.converged_layered) == (fl[3], la[3])
+    assert any(fl[3] < 37 for fl in flooding)  # some frame never converged
+
+
+def test_compare_deterministic_and_chunk_invariant():
+    a = run_compare_schedules(CODE96, [1.5, 2.5], frames=100, seed=9, f=32,
+                              backend="numpy")
+    b = run_compare_schedules(CODE96, [1.5, 2.5], frames=100, seed=9, f=7,
+                              backend="numpy")
+    assert a == b
+
+
 def test_compare_layered_converges_no_slower():
     code = random_regular_code(96, 48, 6, seed=3)
     results = run_compare_schedules(code, ebno_list=[2.5, 3.5], frames=128,
@@ -255,6 +343,27 @@ def test_cli_unusable_process_backend_is_a_usage_error(monkeypatch, capsys):
             capsys.readouterr()
             assert run_cli(argv) == 2, (value, argv[0])
             assert "usage error" in capsys.readouterr().err
+
+
+def test_cli_unwritable_output_is_a_usage_error_before_any_work(
+        tmp_path, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the output path was checked")
+
+    monkeypatch.setattr("streamdec.cli.random_regular_code", no_work)
+    gen = ["--gen", "96,48,6,0"]
+    commands = [
+        ["ber", *gen, "--ebno", "2", "--frames", "8", "--csv"],
+        ["compare", *gen, "--ebno", "2", "--frames", "8", "--csv"],
+        ["throughput", *gen, "--frames", "8", "--csv"],
+        ["gencode", *gen, "--out"],
+    ]
+    for path in (tmp_path / "missing" / "x.csv", tmp_path):
+        for argv in commands:
+            capsys.readouterr()
+            assert run_cli(argv + [str(path)]) == 2, (argv[0], path)
+            assert f"usage error: cannot write {path}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_module_entry_point(tmp_path):
