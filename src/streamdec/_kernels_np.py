@@ -17,8 +17,9 @@ two smallest magnitudes from one ``np.partition`` and each slot's sign
 as its own sign XOR the row's sign parity; the result equals the row
 loops' ``norm * (sign * mag)``, clipped, bit for bit, signed zeros
 included.  Both schedules sweep in lockstep under ``_Lanes``: with early
-termination a converged lane leaves the working arrays, so its messages,
-posteriors and bits are never written again.
+termination a converged lane leaves the working arrays, so its messages
+and posterior are never written again, and its bits and syndrome flag
+are read from that final posterior.
 
 The layered kernel keeps its check messages as one (edges, F) array per
 level, in ``plan.edge`` order, so a level step reads and writes them
@@ -36,8 +37,6 @@ that needs its LLRs back passes a copy.
 from __future__ import annotations
 
 import numpy as np
-
-NAME = "numpy"
 
 
 def _syndrome_ok_lanes(code, bits):
@@ -93,18 +92,17 @@ class _Lanes:
     Iterating yields the working arrays, posterior first, once per sweep,
     and the sweep updates them in place.  They hold the columns of the
     ``live`` lanes only: after each sweep the driver writes the posterior
-    back and takes the hard decisions, and with early termination it drops
-    each converged lane from every working array.
+    back, and with early termination it drops each lane whose hard
+    decisions satisfy every check from every working array.  A lane's
+    bits and syndrome flag are those of its final posterior, so
+    ``result`` derives both once, at the end.
     """
 
     def __init__(self, code, max_iters, early_term, *work):
         self.code, self.max_iters, self.early_term = code, max_iters, early_term
         self.post, self.work = work[0], work
-        n, nf = self.post.shape
-        self.bits = np.zeros((n, nf), dtype=np.uint8)
-        self.iters = np.full(nf, max_iters, dtype=np.int64)
-        self.ok = np.zeros(nf, dtype=bool)
-        self.live = np.arange(nf)
+        self.iters = np.full(self.post.shape[1], max_iters, dtype=np.int64)
+        self.live = np.arange(self.post.shape[1])
 
     def __iter__(self):
         for it in range(1, self.max_iters + 1):
@@ -112,12 +110,9 @@ class _Lanes:
             post = self.work[0]
             if post is not self.post:  # a copy since a lane converged
                 self.post[:, self.live] = post
-            hard = (post < 0.0).view(np.uint8)
-            self.bits[:, self.live] = hard
             if self.early_term:
-                done = _syndrome_ok_lanes(self.code, hard)
+                done = _syndrome_ok_lanes(self.code, (post < 0.0).view(np.uint8))
                 self.iters[self.live[done]] = it
-                self.ok[self.live[done]] = True
                 if done.all():
                     return
                 if done.any():
@@ -126,9 +121,8 @@ class _Lanes:
 
     def result(self):
         """(bits, iterations, syndrome_ok, posterior) of every lane."""
-        if not self.early_term:
-            self.ok[:] = _syndrome_ok_lanes(self.code, self.bits)
-        return self.bits, self.iters, self.ok, self.post
+        bits = (self.post < 0.0).view(np.uint8)
+        return bits, self.iters, _syndrome_ok_lanes(self.code, bits), self.post
 
 
 def decode_flooding(code, llr, max_iters, early_term, norm, clamp):

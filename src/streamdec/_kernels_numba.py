@@ -21,8 +21,6 @@ except ImportError:  # pragma: no cover - plain-python stand-in
             return fn
         return wrap
 
-NAME = "numba"
-
 _INF = np.inf
 
 

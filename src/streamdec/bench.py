@@ -179,6 +179,8 @@ def _sweep(code, configs, ebno_list, frames, seed, f, all_zeros, noiseless=False
         raise ValueError("f must be >= 1")
     gen = systematic_form(code)
     k = gen.k
+    if k == 0:  # every error rate would divide by zero bits
+        raise ValueError("the code has no message bits (k = 0)")
     if all_zeros:
         messages = np.zeros((frames, k), dtype=np.uint8)
     else:

@@ -108,6 +108,7 @@ def _emit(lines, csv_path):
 def _add_code_flags(p, gen_only=False):
     if gen_only:
         p.add_argument("--gen", required=True, metavar="n,m,rowdeg,seed")
+        p.set_defaults(code=None)
         return
     grp = p.add_mutually_exclusive_group(required=True)
     grp.add_argument("--code", metavar="ALIST", help="parity-check file")
@@ -115,15 +116,19 @@ def _add_code_flags(p, gen_only=False):
                      help="generate a regular code")
 
 
-def _add_common_flags(p, default_early_term):
-    p.add_argument("--schedule", choices=SCHEDULES, default="layered")
+def _add_decode_flags(p, backend_help="numpy | numba"):
     p.add_argument("--iters", type=int, default=10, metavar="K")
     p.add_argument("--batch", type=int, default=32, metavar="F")
     p.add_argument("--seed", type=int, default=0, metavar="S")
     p.add_argument("--normalization", type=float, default=1.0, metavar="X")
+    p.add_argument("--backend", default=None, help=backend_help)
+    p.add_argument("--csv", metavar="PATH", help="write CSV instead of a table")
+
+
+def _add_schedule_flags(p, default_early_term):
+    p.add_argument("--schedule", choices=SCHEDULES, default="layered")
     p.add_argument("--early-term", choices=("on", "off"),
                    default=default_early_term)
-    p.add_argument("--csv", metavar="PATH", help="write CSV instead of a table")
 
 
 def build_parser():
@@ -134,18 +139,18 @@ def build_parser():
 
     t = sub.add_parser("throughput", help="timed decode through the engine")
     _add_code_flags(t)
-    _add_common_flags(t, default_early_term="off")
+    _add_schedule_flags(t, default_early_term="off")
+    _add_decode_flags(t, backend_help="numpy | numba | both | comma list")
     t.add_argument("--streams", type=int, default=1, metavar="W")
     excl = t.add_mutually_exclusive_group(required=True)
     excl.add_argument("--frames", type=int, metavar="N")
     excl.add_argument("--seconds", type=float, metavar="S")
     t.add_argument("--repeats", type=int, default=3)
-    t.add_argument("--backend", default=None,
-                   help="numpy | numba | both | comma list")
 
     b = sub.add_parser("ber", help="Monte-Carlo BER/FER sweep")
     _add_code_flags(b)
-    _add_common_flags(b, default_early_term="on")
+    _add_schedule_flags(b, default_early_term="on")
+    _add_decode_flags(b)
     b.add_argument("--ebno", required=True, metavar="LIST",
                    help="comma-separated Eb/N0 points in dB")
     b.add_argument("--frames", type=int, default=1000, metavar="N")
@@ -153,18 +158,15 @@ def build_parser():
                    help="send the all-zeros codeword instead of random messages")
     b.add_argument("--noiseless", action="store_true",
                    help="skip the channel; LLRs are exact +/-4")
-    b.add_argument("--backend", default=None, help="numpy | numba")
 
     c = sub.add_parser("compare", help="flooding vs layered convergence")
     _add_code_flags(c)
+    _add_decode_flags(c)
+    # compare runs both schedules with early termination on; its config
+    # only resolves the backend name that the CSV prints
+    c.set_defaults(schedule="layered", early_term="on")
     c.add_argument("--ebno", required=True, metavar="LIST")
     c.add_argument("--frames", type=int, default=500, metavar="N")
-    c.add_argument("--iters", type=int, default=10, metavar="K")
-    c.add_argument("--batch", type=int, default=32, metavar="F")
-    c.add_argument("--seed", type=int, default=0, metavar="S")
-    c.add_argument("--normalization", type=float, default=1.0, metavar="X")
-    c.add_argument("--backend", default=None, help="numpy | numba")
-    c.add_argument("--csv", metavar="PATH")
 
     g = sub.add_parser("gencode", help="emit a generated code as alist")
     _add_code_flags(g, gen_only=True)
@@ -172,15 +174,20 @@ def build_parser():
     return ap
 
 
+def _decoder_configs(args, allow_multi):
+    """One config per --backend name.  A config resolves the process
+    default, so ``config.backend`` names the kernels run."""
+    return [DecoderConfig(schedule=args.schedule, max_iterations=args.iters,
+                          early_termination=args.early_term == "on",
+                          normalization=args.normalization, backend=backend)
+            for backend in _parse_backends(args.backend, allow_multi)]
+
+
 def _cmd_throughput(args):
     code = _load_code(args)
-    configs = [DecoderConfig(schedule=args.schedule, max_iterations=args.iters,
-                             early_termination=args.early_term == "on",
-                             normalization=args.normalization, backend=backend)
-               for backend in _parse_backends(args.backend, allow_multi=True)]
     lines = [THROUGHPUT_CSV_HEADER]
     medians = []
-    for cfg in configs:
+    for cfg in _decoder_configs(args, allow_multi=True):
         results = run_throughput(code, cfg, w=args.streams, f=args.batch,
                                  frames=args.frames, seconds=args.seconds,
                                  repeats=args.repeats, seed=args.seed)
@@ -194,10 +201,7 @@ def _cmd_throughput(args):
 
 def _cmd_ber(args):
     code = _load_code(args)
-    cfg = DecoderConfig(schedule=args.schedule, max_iterations=args.iters,
-                        early_termination=args.early_term == "on",
-                        normalization=args.normalization,
-                        backend=_parse_backends(args.backend, allow_multi=False)[0])
+    [cfg] = _decoder_configs(args, allow_multi=False)
     results = run_ber(code, cfg, ebno_list=_parse_ebno(args.ebno),
                       frames=args.frames, seed=args.seed, f=args.batch,
                       all_zeros=args.all_zeros, noiseless=args.noiseless)
@@ -211,17 +215,15 @@ def _cmd_ber(args):
 
 def _cmd_compare(args):
     code = _load_code(args)
-    # a config resolves the process default, so the CSV names the kernels run
-    backend = DecoderConfig(schedule="layered", backend=_parse_backends(
-        args.backend, allow_multi=False)[0]).backend
+    [cfg] = _decoder_configs(args, allow_multi=False)
     results = run_compare_schedules(code, ebno_list=_parse_ebno(args.ebno),
                                     frames=args.frames,
                                     max_iterations=args.iters, seed=args.seed,
                                     f=args.batch,
                                     normalization=args.normalization,
-                                    backend=backend)
+                                    backend=cfg.backend)
     lines = [COMPARE_CSV_HEADER]
-    lines.extend(r.csv_row(code.n, code.m, backend, args.iters) for r in results)
+    lines.extend(r.csv_row(code.n, code.m, cfg.backend, args.iters) for r in results)
     _emit(lines, args.csv)
     bad = [r for r in results if r.mean_iters_layered > r.mean_iters_flooding]
     if bad:
@@ -233,12 +235,7 @@ def _cmd_compare(args):
 
 
 def _cmd_gencode(args):
-    n, m, rowdeg, seed = _parse_gen(args.gen)
-    try:
-        code = random_regular_code(n, m, rowdeg, seed=seed)
-    except (ValueError, DegenerateCodeError) as e:
-        raise UsageError(f"cannot generate code: {e}")
-    text = emit_alist(code)
+    text = emit_alist(_load_code(args))
     if args.out is not None:
         with open(args.out, "w") as fh:
             fh.write(text)

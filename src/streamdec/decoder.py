@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -55,8 +56,9 @@ class DecoderConfig:
     def __post_init__(self):
         if self.schedule not in SCHEDULES:
             raise ValueError(f"schedule must be one of {SCHEDULES}")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        if not isinstance(self.max_iterations, Integral) or self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be an integer >= 1, "
+                             f"got {self.max_iterations!r}")
         if not 0.0 < self.normalization <= 1.0:
             raise ValueError("normalization must lie in (0, 1]")
         if not (self.llr_clamp > 0.0 and math.isfinite(self.llr_clamp)):

@@ -33,6 +33,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -69,12 +70,10 @@ class StreamConfig:
     backpressure: str = "block"
 
     def __post_init__(self):
-        if self.w < 1:
-            raise ValueError("w must be >= 1")
-        if self.f < 1:
-            raise ValueError("f must be >= 1")
-        if self.queue_depth < 1:
-            raise ValueError("queue_depth must be >= 1")
+        for name in ("w", "f", "queue_depth"):
+            value = getattr(self, name)
+            if not isinstance(value, Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if self.backpressure not in BACKPRESSURE_POLICIES:
             raise ValueError(f"backpressure must be one of {BACKPRESSURE_POLICIES}")
 

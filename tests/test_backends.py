@@ -53,12 +53,13 @@ def test_get_kernels_rejects_unknown():
 
 
 def test_kernel_modules_expose_uniform_api():
+    modules = {"numpy": _kernels_np, "numba": _kernels_numba}
     for name in available_backends():
         mod = get_kernels(name)
+        assert mod is modules[name]
         assert callable(mod.decode_flooding)
         assert callable(mod.decode_layered)
         assert callable(mod.warmup)
-        assert mod.NAME == name
 
 
 def test_config_backend_reaches_kernels(monkeypatch):
@@ -69,7 +70,7 @@ def test_config_backend_reaches_kernels(monkeypatch):
 
     def spy(name=None):
         kernels = get_kernels(name)
-        seen.append(kernels.NAME)
+        seen.append(kernels)
         return kernels
 
     monkeypatch.setattr(decoder, "get_kernels", spy)
@@ -94,7 +95,7 @@ def test_config_backend_reaches_kernels(monkeypatch):
     for name, call in entry_points.items():
         seen.clear()
         call()
-        assert seen and set(seen) == {"numpy"}, name
+        assert seen and set(seen) == {_kernels_np}, name
 
 
 def test_engine_start_refuses_unusable_process_backend(monkeypatch):
@@ -136,6 +137,9 @@ def _assert_kernels_match(schedule, code, llr, early, iterations=8, clamp=12.0):
     got = getattr(_kernels_numba, f"decode_{schedule}")(code, llr.copy(), *args)
     for a, b in zip(want, got):
         assert a.dtype == b.dtype and np.array_equal(a, b)
+    for bits, _, ok, post in (want, got):  # outputs follow from the posterior
+        assert np.array_equal(bits, post < 0)
+        assert np.array_equal(ok, _kernels_np._syndrome_ok_lanes(code, bits))
     assert np.array_equal(np.signbit(want[3]), np.signbit(got[3]))  # zeros too
     return len(set(want[1].tolist()))
 

@@ -148,6 +148,21 @@ def test_ber_validation():
             run_ber(CODE10, LAYERED10, ebno_list=[2.0], frames=10, f=f)
 
 
+def test_sweeps_refuse_a_code_without_message_bits(capsys):
+    code = from_dense(np.eye(4, dtype=np.uint8))
+    assert systematic_form(code).k == 0
+    for noiseless in (False, True):
+        with pytest.raises(ValueError, match=r"no message bits \(k = 0\)"):
+            run_ber(code, LAYERED10, ebno_list=[2.0], frames=4, noiseless=noiseless)
+    with pytest.raises(ValueError, match=r"no message bits \(k = 0\)"):
+        run_compare_schedules(code, ebno_list=[2.0], frames=4, backend="numpy")
+    for extra in ([], ["--noiseless"]):  # a 10x10 code of row degree 1 has k = 0
+        capsys.readouterr()
+        assert run_cli(["ber", "--gen", "10,10,1,0", "--ebno", "2", "--frames",
+                        "10", "--backend", "numpy", *extra]) == 2
+        assert "no message bits (k = 0)" in capsys.readouterr().err
+
+
 def _reference_sweep(code, configs, ebno_list, frames, seed, all_zeros):
     """Per-frame sweep from the public API: one decode_frame per (config,
     point, frame).  Returns [config][point] = (bit errors, frame errors,

@@ -191,6 +191,10 @@ def test_config_validation():
         DecoderConfig(schedule="serial")
     with pytest.raises(ValueError):
         DecoderConfig(schedule="flooding", max_iterations=0)
+    for iters in (2.5, 2.0, "3"):  # refused when made, not inside a decode
+        with pytest.raises(ValueError, match="max_iterations"):
+            DecoderConfig(schedule="flooding", max_iterations=iters)
+    assert DecoderConfig(schedule="flooding", max_iterations=np.int64(3)).max_iterations == 3
     with pytest.raises(ValueError):
         DecoderConfig(schedule="flooding", normalization=0.0)
     with pytest.raises(ValueError):

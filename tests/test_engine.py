@@ -53,6 +53,12 @@ def test_config_validation():
         StreamConfig(queue_depth=0)
     with pytest.raises(ValueError):
         StreamConfig(backpressure="drop")
+    # a float count fails here, not later in engine_start or a worker
+    for name in ("w", "f", "queue_depth"):
+        for value in (2.0, 2.5):
+            with pytest.raises(ValueError, match=f"^{name} must"):
+                StreamConfig(**{name: value})
+    assert StreamConfig(w=np.int64(2), f=np.int32(4)).f == 4
 
 
 def test_single_stream_results_in_submission_order():
