@@ -15,13 +15,7 @@ from .code import (
     syndrome,
     systematic_form,
 )
-from .decoder import (
-    DecodeOutcome,
-    DecoderConfig,
-    check_node_update,
-    decode_frame,
-    hard_decision,
-)
+from .decoder import DecodeOutcome, DecoderConfig, check_node_update, decode_frame
 from .engine import (
     DecodeJob,
     Engine,
@@ -58,7 +52,6 @@ __all__ = [
     "emit_alist",
     "engine_start",
     "from_dense",
-    "hard_decision",
     "interleave",
     "llr_from_channel",
     "modulate_bpsk",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .code import ParityCheckCode
-from .decoder import DecodeOutcome, DecoderConfig, _decode_lanes
+from .decoder import DecodeOutcome, DecoderConfig, _decode_lanes, _real_llrs
 
 __all__ = ["FrameBatch", "BatchOutcome", "interleave", "deinterleave", "decode_batch"]
 
@@ -30,7 +30,7 @@ class FrameBatch:
     def __post_init__(self):
         if self.f < 1 or self.n < 1:
             raise ValueError("f and n must be >= 1")
-        self.data = np.ascontiguousarray(self.data, dtype=np.float64)
+        self.data = np.ascontiguousarray(_real_llrs(self.data))
         if self.data.shape != (self.f * self.n,):
             raise ValueError(f"data must be flat with length f*n = {self.f * self.n}")
 
@@ -65,12 +65,10 @@ class BatchOutcome:
 
 def interleave(frames) -> FrameBatch:
     """Pack F equal-length frames into one symbol-major batch."""
-    arr = np.asarray(frames, dtype=np.float64)
+    arr = np.asarray(frames)
     if arr.ndim != 2:
         raise ValueError("frames must be a 2-D stack of equal-length rows")
     f, n = arr.shape
-    if f < 1 or n < 1:
-        raise ValueError("need at least one frame of at least one symbol")
     data = np.ascontiguousarray(arr.T).reshape(-1)
     return FrameBatch(f=f, n=n, data=data)
 
@@ -88,7 +86,5 @@ def decode_batch(code: ParityCheckCode, batch: FrameBatch,
     decoder, so outcomes match per-frame decoding exactly, including
     iterations_run under early termination.
     """
-    if batch.n != code.n:
-        raise ValueError(f"batch n ({batch.n}) does not match code n ({code.n})")
     bits, iters, ok, _ = _decode_lanes(code, batch.lanes().copy(), config)
     return BatchOutcome(bits.T, iters, ok)

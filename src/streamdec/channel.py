@@ -32,6 +32,13 @@ class AwgnChannel:
             raise ValueError("ebno_db must be finite")
         if not 0.0 < self.rate <= 1.0:
             raise ValueError("rate must lie in (0, 1]")
+        try:
+            nv = self.noise_variance
+        except (OverflowError, ZeroDivisionError):
+            nv = 0.0
+        if not 0.0 < nv < math.inf:
+            raise ValueError(f"ebno_db {self.ebno_db} gives no finite, positive "
+                             "noise variance")
 
     @property
     def noise_variance(self) -> float:
@@ -57,7 +64,4 @@ def transmit(channel: AwgnChannel, symbols, frame_index: int = 0) -> np.ndarray:
 
 def llr_from_channel(channel: AwgnChannel, received) -> np.ndarray:
     """Per-sample LLR: 2 y / sigma^2, positive favoring bit 0."""
-    nv = channel.noise_variance
-    if not nv > 0.0:
-        raise ValueError("noise variance must be positive")
-    return 2.0 * np.asarray(received, dtype=np.float64) / nv
+    return 2.0 * np.asarray(received, dtype=np.float64) / channel.noise_variance

@@ -70,17 +70,6 @@ def _load_code(args):
         raise UsageError(f"cannot generate code: {e}")
 
 
-def _parse_backends(text, allow_multi):
-    """--backend as a list of names; None is the process default, which
-    DecoderConfig resolves and checks like any name."""
-    if text in (None, "auto"):
-        return [None]
-    names = ["numpy", "numba"] if text == "both" else text.split(",")
-    if len(names) > 1 and not allow_multi:
-        raise UsageError("this subcommand takes a single --backend")
-    return [name.strip() for name in names]
-
-
 def _check_writable(path):
     """Refuse an output path that cannot be written, before any work."""
     if path is None:
@@ -116,12 +105,12 @@ def _add_code_flags(p, gen_only=False):
                      help="generate a regular code")
 
 
-def _add_decode_flags(p, backend_help="numpy | numba"):
+def _add_decode_flags(p):
     p.add_argument("--iters", type=int, default=10, metavar="K")
     p.add_argument("--batch", type=int, default=32, metavar="F")
     p.add_argument("--seed", type=int, default=0, metavar="S")
     p.add_argument("--normalization", type=float, default=1.0, metavar="X")
-    p.add_argument("--backend", default=None, help=backend_help)
+    p.add_argument("--backend", default=None, help="numpy | numba | auto")
     p.add_argument("--csv", metavar="PATH", help="write CSV instead of a table")
 
 
@@ -140,7 +129,7 @@ def build_parser():
     t = sub.add_parser("throughput", help="timed decode through the engine")
     _add_code_flags(t)
     _add_schedule_flags(t, default_early_term="off")
-    _add_decode_flags(t, backend_help="numpy | numba | both | comma list")
+    _add_decode_flags(t)
     t.add_argument("--streams", type=int, default=1, metavar="W")
     excl = t.add_mutually_exclusive_group(required=True)
     excl.add_argument("--frames", type=int, metavar="N")
@@ -174,34 +163,31 @@ def build_parser():
     return ap
 
 
-def _decoder_configs(args, allow_multi):
-    """One config per --backend name.  A config resolves the process
-    default, so ``config.backend`` names the kernels run."""
-    return [DecoderConfig(schedule=args.schedule, max_iterations=args.iters,
-                          early_termination=args.early_term == "on",
-                          normalization=args.normalization, backend=backend)
-            for backend in _parse_backends(args.backend, allow_multi)]
+def _decoder_config(args):
+    """The command's one config; ``auto`` or no --backend is the process
+    default, which the config resolves, so ``config.backend`` names the
+    kernels run."""
+    return DecoderConfig(schedule=args.schedule, max_iterations=args.iters,
+                         early_termination=args.early_term == "on",
+                         normalization=args.normalization,
+                         backend=None if args.backend == "auto" else args.backend)
 
 
 def _cmd_throughput(args):
     code = _load_code(args)
-    lines = [THROUGHPUT_CSV_HEADER]
-    medians = []
-    for cfg in _decoder_configs(args, allow_multi=True):
-        results = run_throughput(code, cfg, w=args.streams, f=args.batch,
-                                 frames=args.frames, seconds=args.seconds,
-                                 repeats=args.repeats, seed=args.seed)
-        lines.extend(r.csv_row() for r in results)
-        medians.append((cfg.backend, median_throughput(results)))
-    _emit(lines, args.csv)
-    for name, med in medians:
-        print(f"# median throughput ({name}): {med:.4f} Mbps")
+    cfg = _decoder_config(args)
+    results = run_throughput(code, cfg, w=args.streams, f=args.batch,
+                             frames=args.frames, seconds=args.seconds,
+                             repeats=args.repeats, seed=args.seed)
+    _emit([THROUGHPUT_CSV_HEADER, *(r.csv_row() for r in results)], args.csv)
+    print(f"# median throughput ({cfg.backend}): "
+          f"{median_throughput(results):.4f} Mbps")
     return 0
 
 
 def _cmd_ber(args):
     code = _load_code(args)
-    [cfg] = _decoder_configs(args, allow_multi=False)
+    cfg = _decoder_config(args)
     results = run_ber(code, cfg, ebno_list=_parse_ebno(args.ebno),
                       frames=args.frames, seed=args.seed, f=args.batch,
                       all_zeros=args.all_zeros, noiseless=args.noiseless)
@@ -215,7 +201,7 @@ def _cmd_ber(args):
 
 def _cmd_compare(args):
     code = _load_code(args)
-    [cfg] = _decoder_configs(args, allow_multi=False)
+    cfg = _decoder_config(args)
     results = run_compare_schedules(code, ebno_list=_parse_ebno(args.ebno),
                                     frames=args.frames,
                                     max_iterations=args.iters, seed=args.seed,

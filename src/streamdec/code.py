@@ -165,21 +165,6 @@ class ParityCheckCode:
                     if a is not None)):
             a.setflags(write=False)
 
-    def edge_id(self, check: int, pos: int) -> int:
-        """Flat edge id of the pos-th entry of a check row."""
-        if not 0 <= check < self.m:
-            raise IndexError("check index out of range")
-        if not 0 <= pos < int(self.row_degrees[check]):
-            raise IndexError("position exceeds row degree")
-        return int(self.row_ptr[check]) + pos
-
-    def edge_location(self, edge: int) -> tuple[int, int]:
-        """Inverse of edge_id: (check, position-in-row) for a flat edge id."""
-        if not 0 <= edge < self.edge_count:
-            raise IndexError("edge id out of range")
-        check = int(np.searchsorted(self.row_ptr, edge, side="right")) - 1
-        return check, edge - int(self.row_ptr[check])
-
     def to_dense(self) -> np.ndarray:
         h = np.zeros((self.m, self.n), dtype=np.uint8)
         h[np.repeat(np.arange(self.m), self.row_degrees), self.edge_var] = 1

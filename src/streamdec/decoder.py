@@ -9,7 +9,6 @@ whose hard decision first satisfied every check, otherwise
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -24,10 +23,12 @@ __all__ = [
     "DecodeOutcome",
     "check_node_update",
     "decode_frame",
-    "hard_decision",
 ]
 
 SCHEDULES = ("flooding", "layered")
+
+# bounds the magnitude of every stored posterior and message
+LLR_CLAMP = 64.0
 
 
 @dataclass(frozen=True)
@@ -37,12 +38,12 @@ class DecoderConfig:
     flooding is strict two-phase min-sum: no check sees same-sweep
     updates.  layered refreshes posteriors row by row inside the sweep.
     normalization scales every check-to-variable message (1.0 keeps
-    plain min-sum; 0.75 is the usual normalized variant).  llr_clamp
-    bounds the magnitude of every stored posterior and message.  backend
-    names the kernel set, "numpy" or "numba"; None is replaced, when the
-    config is made, by the process default (STREAMDEC_BACKEND, else numba
-    when importable), so ``config.backend`` always names a kernel set and
-    an unusable default raises ValueError here.  Both sets give
+    plain min-sum; 0.75 is the usual normalized variant).  Every stored
+    posterior and message is clipped to +-``LLR_CLAMP``.  backend names
+    the kernel set, "numpy" or "numba"; None is replaced, when the config
+    is made, by the process default (STREAMDEC_BACKEND, else numba when
+    importable), so ``config.backend`` always names a kernel set and an
+    unusable default raises ValueError here.  Both sets give
     bit-identical results.
     """
 
@@ -50,7 +51,6 @@ class DecoderConfig:
     max_iterations: int = 10
     early_termination: bool = False
     normalization: float = 1.0
-    llr_clamp: float = 64.0
     backend: str | None = None
 
     def __post_init__(self):
@@ -61,8 +61,6 @@ class DecoderConfig:
                              f"got {self.max_iterations!r}")
         if not 0.0 < self.normalization <= 1.0:
             raise ValueError("normalization must lie in (0, 1]")
-        if not (self.llr_clamp > 0.0 and math.isfinite(self.llr_clamp)):
-            raise ValueError("llr_clamp must be positive and finite")
         if self.backend is None:
             object.__setattr__(self, "backend", active_backend())
         elif self.backend not in available_backends():
@@ -77,9 +75,16 @@ class DecodeOutcome:
     syndrome_ok: bool
 
 
-def hard_decision(posterior) -> np.ndarray:
-    """Posterior LLRs to bits: 1 iff strictly negative (ties go to 0)."""
-    return (np.asarray(posterior) < 0).astype(np.uint8)
+def _real_llrs(values, copy: bool = False) -> np.ndarray:
+    """values as float64, or ValueError unless they are real numbers; a
+    float64 array comes back as itself unless ``copy`` is set."""
+    try:
+        arr = np.asarray(values)
+    except ValueError as e:  # ragged nesting
+        raise ValueError(f"LLRs must be an array of real numbers: {e}") from None
+    if arr.dtype.kind not in "biuf":
+        raise ValueError(f"LLRs must be real numbers, not {arr.dtype}")
+    return arr.astype(np.float64, copy=copy)
 
 
 def check_node_update(values, normalization: float = 1.0) -> np.ndarray:
@@ -95,7 +100,7 @@ def check_node_update(values, normalization: float = 1.0) -> np.ndarray:
     values : array_like
         At least two finite incoming LLRs.
     """
-    x = np.asarray(values, dtype=np.float64)
+    x = _real_llrs(values)
     if x.ndim != 1 or x.size < 2:
         raise ValueError("check_node_update needs a 1-D vector of >= 2 values")
     if not np.isfinite(x).all():
@@ -116,12 +121,12 @@ def _decode_lanes(code: ParityCheckCode, lanes: np.ndarray, config: DecoderConfi
     k = get_kernels(config.backend)
     fn = k.decode_flooding if config.schedule == "flooding" else k.decode_layered
     return fn(code, lanes, config.max_iterations, config.early_termination,
-              config.normalization, config.llr_clamp)
+              config.normalization, LLR_CLAMP)
 
 
 def decode_frame(code: ParityCheckCode, frame, config: DecoderConfig) -> DecodeOutcome:
     """Decode one (n,) frame with the schedule and kernels the config selects."""
-    llr = np.array(frame, dtype=np.float64)  # a copy: the decode owns it
+    llr = _real_llrs(frame, copy=True)  # a copy: the decode owns it
     if llr.shape != (code.n,):
         raise ValueError(f"frame must have shape ({code.n},)")
     bits, iters, ok, _ = _decode_lanes(code, llr.reshape(code.n, 1), config)

@@ -39,7 +39,7 @@ import numpy as np
 
 from .batch import BatchOutcome
 from .code import ParityCheckCode
-from .decoder import DecoderConfig, _decode_lanes
+from .decoder import DecoderConfig, _decode_lanes, _real_llrs
 
 __all__ = [
     "StreamConfig",
@@ -178,7 +178,10 @@ class Engine:
         when the job is decoded: do not modify it until its result has been
         collected.
         """
-        frames = np.asarray(job.frames, dtype=np.float64)
+        try:
+            frames = _real_llrs(job.frames)
+        except ValueError as e:
+            return SubmitStatus(False, None, str(e))
         want = (self.stream_config.f, self.code.n)
         if frames.shape != want:
             return SubmitStatus(False, None,

@@ -64,6 +64,9 @@ def test_interleave_rejects_ragged_and_empty():
         interleave(np.zeros((0, 4)))
     with pytest.raises(ValueError):
         interleave(np.zeros(5))  # 1-D input is ambiguous
+    for frames in (np.zeros((2, 3), dtype=complex), [["0", "1"]]):
+        with pytest.raises(ValueError, match="real numbers"):
+            interleave(frames)
 
 
 def test_frame_batch_validates_length():
@@ -126,9 +129,9 @@ def test_lane_isolation(code10):
 @pytest.mark.parametrize("schedule", SCHEDULES)
 def test_decode_leaves_input_unchanged(code10, schedule):
     # the kernels clip the block they are given in place, so both entry
-    # points must hand them a copy; LLRs beyond llr_clamp would show a leak
-    config = DecoderConfig(schedule=schedule, max_iterations=4, llr_clamp=2.0)
-    frames = np.random.default_rng(8).normal(0.0, 6.0, (4, code10.n))
+    # points must hand them a copy; LLRs beyond the clamp (64) would show a leak
+    config = DecoderConfig(schedule=schedule, max_iterations=4)
+    frames = np.random.default_rng(8).normal(0.0, 200.0, (4, code10.n))
     batch = interleave(frames)
     before = batch.data.tobytes()
     decode_batch(code10, batch, config)

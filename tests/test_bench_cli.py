@@ -1,7 +1,9 @@
 """Benchmark runners and the command-line harness."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +36,15 @@ from oracles import H_EXAMPLE
 CODE10 = from_dense(H_EXAMPLE)
 LAYERED10 = DecoderConfig(schedule="layered", max_iterations=10,
                           early_termination=True, backend="numpy")
+
+
+def child_env():
+    """Environment for a child interpreter: it imports streamdec from this
+    checkout's src/, as pytest's own ``pythonpath`` does not reach it."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
 
 
 def run_cli(argv):
@@ -86,7 +97,7 @@ def test_throughput_counts_jobs_under_optimize():
               "r, = run_throughput(code, cfg, w=2, f=2, frames=8, repeats=1)\n"
               "print(r.frames_decoded)\n")
     proc = subprocess.run([sys.executable, "-O", "-c", script],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) == 8
 
@@ -344,6 +355,18 @@ def test_cli_usage_errors():
     assert run_cli(["gencode", "--gen", "10,2,2,0"]) == 2
 
 
+def test_cli_extreme_ebno_is_a_usage_error(capsys):
+    # each point gives no finite, positive noise variance; compare must
+    # not exit 1, which reports a failed comparison
+    for command in ("ber", "compare"):
+        for ebno in ("4000", "-3300", "-3100", "5000"):
+            capsys.readouterr()
+            rc = run_cli([command, "--gen", "96,48,6,0", "--ebno", f"2,{ebno}",
+                          "--frames", "4", "--backend", "numpy"])
+            assert rc == 2, (command, ebno)
+            assert "usage error" in capsys.readouterr().err
+
+
 def test_cli_unusable_process_backend_is_a_usage_error(monkeypatch, capsys):
     commands = [
         ["ber", "--gen", "96,48,6,0", "--ebno", "2", "--frames", "8"],
@@ -386,9 +409,9 @@ def test_cli_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "streamdec", "gencode", "--gen", "20,10,4,1",
          "--out", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert parse_alist(out.read_text()).n == 20
     bad = subprocess.run([sys.executable, "-m", "streamdec", "bogus"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=child_env())
     assert bad.returncode == 2

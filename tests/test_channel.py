@@ -34,6 +34,11 @@ def test_channel_validates():
         AwgnChannel(1.0, 1.5)
     with pytest.raises(ValueError):
         AwgnChannel(float("inf"), 0.5)
+    # the noise variance must be finite and positive: these overflow,
+    # divide by zero and give an infinite variance
+    for ebno in (4000.0, -3300.0, -3100.0):
+        with pytest.raises(ValueError, match="noise variance"):
+            AwgnChannel(ebno, 0.5)
 
 
 def test_transmit_deterministic_per_frame():

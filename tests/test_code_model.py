@@ -60,20 +60,6 @@ def test_constructor_rejects_duplicates_and_range():
         ParityCheckCode([[0], []], 1)
 
 
-def test_edge_bijection(code10):
-    seen = set()
-    for j in range(code10.m):
-        for t in range(int(code10.row_degrees[j])):
-            e = code10.edge_id(j, t)
-            assert code10.edge_location(e) == (j, t)
-            seen.add(e)
-    assert seen == set(range(code10.edge_count))
-    with pytest.raises(IndexError):
-        code10.edge_id(0, 4)
-    with pytest.raises(IndexError):
-        code10.edge_location(20)
-
-
 def test_transpose_consistency(code10):
     for i, checks in enumerate(code10.col_adj):
         for j in checks:
@@ -111,8 +97,8 @@ def test_check_plans_cover_edges(code10):
         edges = []
         for rows, plan in [(range(code.m), code.row_plan),
                            *zip(code.levels, code.level_plans)]:
-            want = [code.edge_id(j, t) for j in rows
-                    for t in range(int(code.row_degrees[j]))]
+            want = [e for j in rows
+                    for e in range(code.row_ptr[j], code.row_ptr[j + 1])]
             assert plan.edge.tolist() == want
             assert plan.var.tolist() == code.edge_var[want].tolist()
             degs = code.row_degrees[list(rows)]

@@ -141,6 +141,10 @@ def test_submit_validation_rejects():
     nan[0, 0] = np.nan
     bad_vals = eng.submit(DecodeJob(job_id=1, frames=nan))
     assert not bad_vals.accepted and "non-finite" in bad_vals.reason
+    for jid, frames in enumerate((ok.astype(complex), "frames",
+                                  [[0.0] * CODE.n, [0.0]]), start=10):
+        status = eng.submit(DecodeJob(job_id=jid, frames=frames))
+        assert not status.accepted and "real numbers" in status.reason
     assert eng.submit(DecodeJob(job_id=2, frames=ok)).accepted
     dup = eng.submit(DecodeJob(job_id=2, frames=ok))
     assert not dup.accepted and "duplicate" in dup.reason
