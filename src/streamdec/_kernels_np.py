@@ -6,20 +6,26 @@ ascending row order, edges in row order, and variable sums accumulate
 in column-adjacency position order.  The layered kernel runs the rows
 level by level (``ParityCheckCode.levels``): levels run in order and
 rows within a level share no variable, so each level is one vectorised
-step with the ascending-row result.  Padding is inert, never masked:
-the check step pads rows to ``max_row_degree`` with ``+inf``, which
-never wins a minimum and is never negative, and the flooding variable
-phase points the padding slots of ``code.col_pad_edge`` at a ``-0.0``
-row past the last edge, as ``x + (-0.0) == x`` for every x, signed zeros
-included.  Every check-node update goes through ``_check_rows`` over a
-``RowPlan`` that the code builds once.  ``_check_messages`` takes the
-two smallest magnitudes from one ``np.partition`` and each slot's sign
-as its own sign XOR the row's sign parity; the result equals the row
-loops' ``norm * (sign * mag)``, clipped, bit for bit, signed zeros
-included.  Both schedules sweep in lockstep under ``_Lanes``: with early
-termination a converged lane leaves the working arrays, so its messages
-and posterior are never written again, and its bits and syndrome flag
-are read from that final posterior.
+step with the ascending-row result.
+
+Every check-node update goes through ``_check_rows`` over a ``RowPlan``
+that the code builds once.  A plan lists its edges slot-major, so the
+step reads its inputs as a (max_row_degree, rows, F) block of
+contiguous (rows, F) slabs, one per slot, with no copy for a regular
+code.  ``_check_messages`` takes the two smallest magnitudes with a
+running two-minimum over the slabs, which selects values and computes
+none, and each slot's sign as its own sign XOR the row's sign parity;
+the result equals the row loops' ``norm * (sign * mag)``, clipped, bit
+for bit, signed zeros included.  The syndrome reduces over the same
+block.  Padding is inert, never masked: the check step pads rows to
+``max_row_degree`` with ``+inf``, which never wins a minimum and is
+never negative, the syndrome pads with 0, and the flooding variable
+phase points the padding slots of ``code.col_pad_pos`` at a ``-0.0``
+row past the last message, as ``x + (-0.0) == x`` for every x, signed
+zeros included.  Both schedules sweep in lockstep under ``_Lanes``: with
+early termination a converged lane leaves the working arrays, so its
+messages and posterior are never written again, and its bits and
+syndrome flag are read from that final posterior.
 
 The layered kernel keeps its check messages as one (edges, F) array per
 level, in ``plan.edge`` order, so a level step reads and writes them
@@ -39,32 +45,49 @@ from __future__ import annotations
 import numpy as np
 
 
+def _slot_block(code, plan, vals, pad):
+    """vals, (edges, F) in ``plan.edge`` order, as the plan's
+    (max_row_degree, rows, F) block; padding slots hold ``pad``."""
+    nf = vals.shape[1]
+    if plan.real is None:
+        return vals.reshape(code.max_row_degree, -1, nf)
+    block = np.full(plan.real.shape + (nf,), pad, dtype=vals.dtype)
+    block[plan.real] = vals
+    return block
+
+
 def _syndrome_ok_lanes(code, bits):
     """Zero-syndrome flag per lane for hard bits of shape (n, F)."""
-    parity = np.bitwise_xor.reduceat(bits[code.edge_var, :], code.row_ptr[:-1], axis=0)
-    return ~parity.any(axis=0)
+    block = _slot_block(code, code.row_plan, bits[code.row_plan.var], 0)
+    return ~np.bitwise_xor.reduce(block, axis=0).any(axis=0)
 
 
 def _check_messages(vals, norm, clamp):
-    """Normalized min-sum row update on padded rows.
+    """Normalized min-sum row update on a slot-major block.
 
-    vals : (m, dmax, F) gathered inputs; padding slots hold ``+inf``, which
-    never wins a minimum and is never negative, so it is inert.
-    Returns messages of the same shape (garbage in padding slots).
+    vals : (dmax, rows, F) gathered inputs, slot t of every row in
+    ``vals[t]``; padding slots hold ``+inf``, which never wins a minimum
+    and is never negative, so it is inert.  Returns messages of the same
+    shape (garbage in padding slots).
     """
     a = np.abs(vals)
-    if a.shape[1] > 1:
-        two = np.partition(a, 1, axis=1)
-        min1, min2 = two[:, :1], two[:, 1:2]
+    # running two-minimum over the slots; a tie leaves min2 == min1, so
+    # every slot gets the same magnitude as excluding the first minimum's
+    # own slot would give it
+    if a.shape[0] > 1:
+        min1, min2 = np.minimum(a[0], a[1]), np.maximum(a[0], a[1])
+        tmp = np.empty_like(min1)
+        for t in range(2, a.shape[0]):
+            np.maximum(min1, a[t], out=tmp)
+            np.minimum(min2, tmp, out=min2)
+            np.minimum(min1, a[t], out=min1)
     else:  # degree-1 rows only: no second minimum
-        min1, min2 = a, np.inf
-    # a tied minimum leaves min2 == min1, so every slot gets the same
-    # magnitude as excluding the first minimum's own slot would give it
+        min1, min2 = a[0], np.inf
     mag = np.where(a == min1, min2, min1)
     mag *= norm
     np.minimum(mag, clamp, out=mag)
     neg = vals < 0.0
-    flip = neg ^ np.bitwise_xor.reduce(neg, axis=1, keepdims=True)
+    flip = neg ^ np.bitwise_xor.reduce(neg, axis=0)
     return np.where(flip, -mag, mag)  # np.negative(where=) is ~7x slower at F=32
 
 
@@ -74,16 +97,10 @@ def _check_rows(code, plan, vals, norm, clamp):
     A degree-1 row has no other input to take a minimum over; it sends
     ``norm * clamp``, as the row-loop kernels do.
     """
-    nf = vals.shape[1]
-    if plan.real is None:
-        padded = vals.reshape(-1, code.max_row_degree, nf)
-    else:
-        padded = np.full(plan.real.shape + (nf,), np.inf)
-        padded[plan.real] = vals
-    out = _check_messages(padded, norm, clamp)
+    out = _check_messages(_slot_block(code, plan, vals, np.inf), norm, clamp)
     if plan.deg1 is not None:
-        out[plan.deg1, 0] = norm * clamp
-    return out.reshape(-1, nf) if plan.real is None else out[plan.real]
+        out[0, plan.deg1] = norm * clamp
+    return out.reshape(vals.shape) if plan.real is None else out[plan.real]
 
 
 class _Lanes:
@@ -129,17 +146,18 @@ def decode_flooding(code, llr, max_iters, early_term, norm, clamp):
     """Two-phase min-sum over an owned llr block, which becomes the clipped
     intrinsic buffer.  Returns (bits, iterations, syndrome_ok, posterior)."""
     intrinsic = np.clip(llr, -clamp, clamp, out=llr)
+    plan = code.row_plan
     lanes = _Lanes(code, max_iters, early_term,
-                   intrinsic.copy(), intrinsic, intrinsic[code.edge_var, :])
-    for post, intrinsic, v2c in lanes:
-        c2v = _check_rows(code, code.row_plan, v2c, norm, clamp)
+                   intrinsic.copy(), intrinsic, intrinsic[plan.var, :])
+    for post, intrinsic, v2c in lanes:  # messages in plan.edge order
+        c2v = _check_rows(code, plan, v2c, norm, clamp)
         # variable totals accumulate in column-adjacency position order
         padded = np.concatenate((c2v, np.full((1, c2v.shape[1]), -0.0)))
         total = intrinsic.copy()
         for t in range(code.max_col_degree):
-            total += padded[code.col_pad_edge[:, t]]
+            total += padded[code.col_pad_pos[:, t]]
         np.clip(total, -clamp, clamp, out=post)
-        np.take(total, code.edge_var, axis=0, out=v2c)  # no (edges, F) temporary
+        np.take(total, plan.var, axis=0, out=v2c)  # no (edges, F) temporary
         v2c -= c2v
         np.clip(v2c, -clamp, clamp, out=v2c)
     return lanes.result()

@@ -5,9 +5,10 @@ matrix.  Edge ids are assigned in row-major order: edge ``row_ptr[j] + t``
 is the t-th entry of check j, so every (check, position) pair maps to a
 unique flat id and back.  Kernels consume the flat CSR-style arrays
 (``row_ptr``/``edge_var`` and ``col_ptr``/``col_edge``).  The vectorized
-numpy paths also use the padded column table ``col_pad_edge`` (padding
-slots hold ``edge_count``), the row levels and the check-step plans
-(``RowPlan``).
+numpy paths also use the row levels, the check-step plans (``RowPlan``),
+which list their edges slot-major, and the padded column table
+``col_pad_pos``, which points at message positions in ``row_plan`` order
+(padding slots hold ``edge_count``).
 """
 
 from __future__ import annotations
@@ -43,10 +44,13 @@ class DegenerateCodeError(ValueError):
 class RowPlan(NamedTuple):
     """Index plan of one vectorised check step over a set of rows.
 
-    ``edge`` lists the rows' edge ids row after row and ``var`` their
-    variables.  In the padded (rows, max_row_degree) layout of the step,
-    ``real`` marks the slots that hold an edge; it is None when every row
-    has ``max_row_degree`` edges.  ``deg1`` holds the positions of the
+    ``edge`` lists the rows' edge ids slot-major: slot 0 of every row in
+    the plan, then slot 1, and so on; ``var`` holds their variables.  The
+    step reads its inputs as a (max_row_degree, rows, F) block of
+    contiguous (rows, F) slabs, one per slot.  ``real`` marks the slots of
+    that block that hold an edge, shape (max_row_degree, rows); it is None
+    when every row has ``max_row_degree`` edges, and the block is then a
+    reshape of the (edges, F) inputs.  ``deg1`` holds the positions of the
     degree-1 rows among ``rows``, or None when there are none.
     """
 
@@ -117,14 +121,6 @@ class ParityCheckCode:
         self.max_row_degree = int(degs.max())
         self.max_col_degree = int(self.col_degrees.max())
 
-        # padded column view for the flooding variable phase: column i's edge
-        # ids in position order, then edge_count, the id of a -0.0 sentinel row
-        col_of = np.repeat(np.arange(self.n), self.col_degrees)
-        pos = np.arange(self.edge_count) - self.col_ptr[col_of]
-        self.col_pad_edge = np.full((self.n, self.max_col_degree), self.edge_count,
-                                    dtype=np.int32)
-        self.col_pad_edge[col_of, pos] = self.col_edge
-
         # level schedule for layered decoding: a row's level is 1 + the largest
         # level of any earlier row sharing one of its variables, so rows within
         # a level share no variable, and running the levels in order gives
@@ -138,29 +134,35 @@ class ParityCheckCode:
         self.levels = tuple(np.nonzero(row_level == k)[0].astype(np.int32)
                             for k in range(int(row_level.max()) + 1))
 
-        # check-step plans: all rows for flooding, one per level for layered;
-        # the level plans slice one level-ordered (edge, variable) pair
-        slot = np.arange(self.max_row_degree, dtype=np.int32)
-        real = slot < degs[:, None]
-        order = np.concatenate(self.levels)
-        level_edge = (self.row_ptr[order, None] + slot)[real[order]]
-        level_var = self.edge_var[level_edge]
-        bounds = np.cumsum([0] + [int(degs[r].sum()) for r in self.levels])
+        # check-step plans, slot-major: all rows for flooding, one per level
+        # for layered
+        slot = np.arange(self.max_row_degree, dtype=np.int32)[:, None]
+        real = slot < degs
 
-        def plan(rows, edge, var):
-            d = degs[rows]
-            return RowPlan(edge, var,
-                           real[rows] if (d < self.max_row_degree).any() else None,
+        def plan(rows):
+            d, r = degs[rows], real[:, rows]
+            edge = (self.row_ptr[:-1][rows] + slot)[r]
+            return RowPlan(edge, self.edge_var[edge],
+                           r if (d < self.max_row_degree).any() else None,
                            np.flatnonzero(d == 1) if (d == 1).any() else None)
 
-        self.row_plan = plan(slice(None), np.arange(self.edge_count, dtype=np.int32),
-                             self.edge_var)
-        self.level_plans = tuple(plan(r, level_edge[lo:hi], level_var[lo:hi])
-                                 for r, lo, hi in zip(self.levels, bounds, bounds[1:]))
+        self.row_plan = plan(slice(None))
+        self.level_plans = tuple(plan(r) for r in self.levels)
+
+        # padded column table for the flooding variable phase: column i's
+        # messages, as positions in row_plan order, in column-position order,
+        # then edge_count, the position of a -0.0 sentinel row
+        msg_pos = np.empty(self.edge_count, dtype=np.int32)
+        msg_pos[self.row_plan.edge] = np.arange(self.edge_count, dtype=np.int32)
+        col_of = np.repeat(np.arange(self.n), self.col_degrees)
+        pos = np.arange(self.edge_count) - self.col_ptr[col_of]
+        self.col_pad_pos = np.full((self.n, self.max_col_degree), self.edge_count,
+                                   dtype=np.int32)
+        self.col_pad_pos[col_of, pos] = msg_pos[self.col_edge]
 
         for a in (self.row_ptr, self.edge_var, self.col_ptr, self.col_edge,
                   self.row_degrees, self.col_degrees,
-                  self.col_pad_edge, *self.levels,
+                  self.col_pad_pos, *self.levels,
                   *(a for p in (self.row_plan, *self.level_plans) for a in p
                     if a is not None)):
             a.setflags(write=False)

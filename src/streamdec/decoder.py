@@ -39,7 +39,10 @@ class DecoderConfig:
     updates.  layered refreshes posteriors row by row inside the sweep.
     normalization scales every check-to-variable message (1.0 keeps
     plain min-sum; 0.75 is the usual normalized variant).  Every stored
-    posterior and message is clipped to +-``LLR_CLAMP``.  backend names
+    posterior and message is clipped to +-``LLR_CLAMP``; a known defect
+    is that a layered decode without early termination loses the channel
+    information of a posterior once it saturates there, so its bit
+    errors can far exceed flooding's.  backend names
     the kernel set, "numpy" or "numba"; None is replaced, when the config
     is made, by the process default (STREAMDEC_BACKEND, else numba when
     importable), so ``config.backend`` always names a kernel set and an
@@ -105,7 +108,7 @@ def check_node_update(values, normalization: float = 1.0) -> np.ndarray:
         raise ValueError("check_node_update needs a 1-D vector of >= 2 values")
     if not np.isfinite(x).all():
         raise ValueError("incoming values must be finite")
-    return _check_messages(x[None, :, None], normalization, np.inf)[0, :, 0]
+    return _check_messages(x[:, None, None], normalization, np.inf)[:, 0, 0]
 
 
 def _decode_lanes(code: ParityCheckCode, lanes: np.ndarray, config: DecoderConfig):

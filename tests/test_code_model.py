@@ -86,9 +86,10 @@ def test_levels_follow_row_dependencies(code10):
 
 
 def test_check_plans_cover_edges(code10):
-    # the level plans hold every edge once, in row order within a level,
-    # with no variable twice in a level; padding and degree-1 positions
-    # are None exactly when the level has none
+    # the plans list their rows' edges slot-major: slot 0 of every row,
+    # then slot 1, skipping slots past a row's degree; the level plans hold
+    # every edge once, with no variable twice in a level; padding and
+    # degree-1 positions are None exactly when the plan has none
     irregular = ParityCheckCode([[3], [0, 1, 2], [2, 3], [4, 5], [1, 4], [0, 5]], 6)
     codes = (code10, irregular, random_regular_code(96, 48, 6, seed=1),
              ParityCheckCode([[0], [1], [0]], 2))
@@ -97,18 +98,20 @@ def test_check_plans_cover_edges(code10):
         edges = []
         for rows, plan in [(range(code.m), code.row_plan),
                            *zip(code.levels, code.level_plans)]:
-            want = [e for j in rows
-                    for e in range(code.row_ptr[j], code.row_ptr[j + 1])]
+            rows = [int(j) for j in rows]
+            degs = code.row_degrees[rows]
+            want = [int(code.row_ptr[j]) + t for t in range(code.max_row_degree)
+                    for j in rows if t < code.row_degrees[j]]
             assert plan.edge.tolist() == want
             assert plan.var.tolist() == code.edge_var[want].tolist()
-            degs = code.row_degrees[list(rows)]
             if (degs == code.max_row_degree).all():
                 assert plan.real is None
             else:
-                assert plan.real.tolist() == [[t < d for t in range(code.max_row_degree)]
-                                              for d in degs]
+                assert plan.real.tolist() == [[t < d for d in degs]
+                                              for t in range(code.max_row_degree)]
             if (degs == 1).any():
                 assert plan.deg1.tolist() == np.flatnonzero(degs == 1).tolist()
+                assert all(code.row_degrees[rows[i]] == 1 for i in plan.deg1)
             else:
                 assert plan.deg1 is None
             for a in plan:
@@ -120,19 +123,20 @@ def test_check_plans_cover_edges(code10):
 
 
 def test_column_table_pads_with_sentinel(code10):
-    # each column lists its edge ids in position order; padding slots hold
-    # edge_count, the flooding kernel's -0.0 sentinel row
+    # each column lists where its messages sit in row_plan order, in
+    # column-position order; padding slots hold edge_count, the flooding
+    # kernel's -0.0 sentinel row
     irregular = ParityCheckCode([[3], [0, 1, 2], [2, 3], [4, 5], [1, 4], [0, 5]], 6)
     codes = (code10, irregular, random_regular_code(96, 48, 6, seed=1),
              ParityCheckCode([[0], [1], [0]], 2))
     for code in codes:
-        table = code.col_pad_edge
+        table = code.col_pad_pos
         assert table.shape == (code.n, code.max_col_degree)
         assert not table.flags.writeable
         for i in range(code.n):
             d = int(code.col_degrees[i])
             lo, hi = int(code.col_ptr[i]), int(code.col_ptr[i + 1])
-            assert table[i, :d].tolist() == code.col_edge[lo:hi].tolist()
+            assert code.row_plan.edge[table[i, :d]].tolist() == code.col_edge[lo:hi].tolist()
             assert (table[i, d:] == code.edge_count).all()
 
 

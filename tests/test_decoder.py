@@ -6,13 +6,20 @@ import pytest
 from streamdec import (
     HAVE_NUMBA,
     DecoderConfig,
+    ParityCheckCode,
     check_node_update,
     decode_frame,
     from_dense,
     random_regular_code,
     syndrome,
+    systematic_form,
 )
-from streamdec._kernels_np import _layered_level, decode_flooding as np_flood
+from streamdec._kernels_np import (
+    _check_messages,
+    _layered_level,
+    _syndrome_ok_lanes,
+    decode_flooding as np_flood,
+)
 from streamdec.channel import AwgnChannel, llr_from_channel, modulate_bpsk, transmit
 
 from oracles import H_EXAMPLE, naive_check_node_update
@@ -77,6 +84,29 @@ def test_check_node_matches_naive_oracle():
         got = check_node_update(x, norm)
         want = naive_check_node_update(x, norm)
         assert np.array_equal(got, want)
+    # the kernels' form: a slot-major (d, rows, F) block whose columns are
+    # rows of varied degree padded with +inf; a degree-1 column's one
+    # output is the empty minimum, +inf, clipped to the clamp
+    values = [-1e-9, 0.0, -0.0, 1e-9, 2.0, -2.0, 3.5, -3.5]
+    for d in (1, 2, 3, 6, 7):
+        for clamp in (np.inf, 2.5):
+            block = np.full((d, 9, 5), np.inf)
+            degs = rng.integers(1, d + 1, block.shape[1:])
+            degs[:3] = d
+            for (j, s), k in np.ndenumerate(degs):
+                block[:k, j, s] = rng.choice(values, k)
+            if d >= 3:
+                block[:, 0, 0] = [2.0, -2.0, 2.0] + [5.0] * (d - 3)  # triple tie
+                block[:, 1, 0] = [-0.0, 0.0, -0.0] + [-1.0] * (d - 3)
+            norm = float(rng.choice([1.0, 0.75]))
+            got = _check_messages(block, norm, clamp)
+            for (j, s), k in np.ndenumerate(degs):
+                x = block[:k, j, s]
+                want = (naive_check_node_update(x, norm) if k > 1
+                        else np.array([np.inf]))
+                want = np.clip(want, -clamp, clamp)
+                assert np.array_equal(got[:k, j, s], want)
+                assert np.array_equal(np.signbit(got[:k, j, s]), np.signbit(want))
 
 
 def test_check_node_validates():
@@ -148,6 +178,30 @@ def test_syndrome_ok_is_recomputable(code576, schedule):
         out = decode_frame(code576, llr, config)
         assert out.syndrome_ok == (not syndrome(code576, out.bits).any())
         assert 1 <= out.iterations_run <= 5
+
+
+def test_lane_syndrome_flags_match_code_syndrome(code10):
+    # the kernels' zero-syndrome flags over an (n, F) block equal
+    # code.syndrome lane by lane, on regular codes and on irregular ones
+    # with degree-1 and short rows (padded with 0 in the slot block)
+    rng = np.random.default_rng(8)
+    codes = (code10, random_regular_code(96, 48, 6, seed=2),
+             ParityCheckCode([[3], [0, 1, 2], [2, 3], [4, 5], [1, 4], [0, 5]], 6),
+             from_dense([[1, 0, 0, 0], [1, 1, 1, 0], [0, 1, 1, 1]]),
+             ParityCheckCode([[0], [1], [0], [2], [1]], 3))
+    for code in codes:
+        form = systematic_form(code)
+        for f in (1, 3, 32):
+            bits = rng.integers(0, 2, (code.n, f)).astype(np.uint8)
+            if form.k:  # codewords, and codewords with one bit flipped
+                words = [form.encode(rng.integers(0, 2, form.k)) for _ in range(f)]
+                bits[:, ::2] = np.array(words).T[:, ::2]
+                bits[rng.integers(code.n), 1::4] ^= 1
+            got = _syndrome_ok_lanes(code, bits)
+            want = [not syndrome(code, bits[:, s]).any() for s in range(f)]
+            assert got.tolist() == want
+            if form.k:
+                assert any(want)
 
 
 @pytest.mark.parametrize("schedule", SCHEDULES)
