@@ -7,6 +7,12 @@ order.  They visit the rows one by one, so they also serve as the
 reference for the numpy kernel's level schedule; without numba they
 import with a no-op ``njit`` and run as plain Python.  First call per
 signature pays JIT compilation; cache=True keeps the result on disk.
+
+Each rule is written once and both schedules call it: ``_clip`` bounds
+every stored value, ``_row_messages`` is the min-sum update of one check
+row, and ``_retire`` is the early-termination step.  A retired lane's
+posterior is never written again, so ``_result`` takes every lane's bits
+and syndrome flag from its final posterior.
 """
 
 from __future__ import annotations
@@ -25,47 +31,106 @@ _INF = np.inf
 
 
 @njit(cache=True, nogil=True)
-def _syndrome_ok(row_ptr, edge_var, bits, s):
-    """True iff lane s of the hard bits satisfies every check."""
+def _clip(x, clamp):
+    if x > clamp:
+        return clamp
+    if x < -clamp:
+        return -clamp
+    return x
+
+
+@njit(cache=True, nogil=True)
+def _clipped(llr, clamp):
+    out = np.empty(llr.shape)
+    for i in range(llr.shape[0]):
+        for s in range(llr.shape[1]):
+            out[i, s] = _clip(llr[i, s], clamp)
+    return out
+
+
+@njit(cache=True, nogil=True)
+def _row_messages(x, out, active, norm, clamp, min1, min2, first, tsign):
+    """Min-sum messages of one check row, from x into out, active lanes only.
+
+    x, out : (d, F), edges in row order.  Output t carries the product of
+    the other signs times the smallest other magnitude, scaled by norm and
+    clipped; a degree-1 row has no other input and sends ``norm * clamp``.
+    min1, min2, first and tsign are (F,) scratch.
+    """
+    d, nf = x.shape
+    if d == 1:
+        for s in range(nf):
+            if active[s]:
+                out[0, s] = norm * clamp
+        return
+    for s in range(nf):
+        min1[s] = _INF
+        min2[s] = _INF
+        first[s] = -1
+        tsign[s] = 1.0
+    for t in range(d):
+        for s in range(nf):
+            v = x[t, s]
+            a = -v if v < 0.0 else v
+            if v < 0.0:
+                tsign[s] = -tsign[s]
+            if a < min1[s]:
+                min2[s] = min1[s]
+                min1[s] = a
+                first[s] = t
+            elif a < min2[s]:
+                min2[s] = a
+    for t in range(d):
+        for s in range(nf):
+            if active[s]:
+                so = -tsign[s] if x[t, s] < 0.0 else tsign[s]
+                mag = min2[s] if first[s] == t else min1[s]
+                out[t, s] = _clip(norm * (so * mag), clamp)
+
+
+@njit(cache=True, nogil=True)
+def _syndrome_ok(row_ptr, edge_var, post, s):
+    """True iff lane s's hard decisions (post < 0) satisfy every check."""
     for j in range(row_ptr.shape[0] - 1):
         p = 0
         for t in range(row_ptr[j], row_ptr[j + 1]):
-            p ^= bits[edge_var[t], s]
+            if post[edge_var[t], s] < 0.0:
+                p ^= 1
         if p:
             return False
     return True
 
 
 @njit(cache=True, nogil=True)
+def _retire(row_ptr, edge_var, post, active, iters, it):
+    """Freeze each active lane that satisfies every check after sweep it;
+    False once no lane is left active."""
+    for s in range(active.shape[0]):
+        if active[s] and _syndrome_ok(row_ptr, edge_var, post, s):
+            active[s] = False
+            iters[s] = it
+    return active.any()
+
+
+@njit(cache=True, nogil=True)
+def _result(row_ptr, edge_var, post, iters):
+    """(bits, iterations, syndrome_ok, posterior) of every lane."""
+    ok = np.empty(post.shape[1], dtype=np.bool_)
+    for s in range(post.shape[1]):
+        ok[s] = _syndrome_ok(row_ptr, edge_var, post, s)
+    return (post < 0.0).astype(np.uint8), iters, ok, post
+
+
+@njit(cache=True, nogil=True)
 def _flooding_kernel(row_ptr, edge_var, col_ptr, col_edge, llr,
                      max_iters, early_term, norm, clamp):
     n, nf = llr.shape
-    m = row_ptr.shape[0] - 1
-    ne = edge_var.shape[0]
-
-    intrinsic = np.empty((n, nf))
-    for i in range(n):
-        for s in range(nf):
-            x = llr[i, s]
-            if x > clamp:
-                x = clamp
-            elif x < -clamp:
-                x = -clamp
-            intrinsic[i, s] = x
+    intrinsic = _clipped(llr, clamp)
     post = intrinsic.copy()
-
-    v2c = np.empty((ne, nf))
-    for e in range(ne):
-        i = edge_var[e]
-        for s in range(nf):
-            v2c[e, s] = intrinsic[i, s]
-    c2v = np.zeros((ne, nf))
-
-    bits = np.zeros((n, nf), dtype=np.uint8)
+    v2c = intrinsic[edge_var]
+    c2v = np.zeros(v2c.shape)
     iters = np.full(nf, max_iters, dtype=np.int64)
-    ok = np.zeros(nf, dtype=np.bool_)
     active = np.ones(nf, dtype=np.bool_)
-
     min1 = np.empty(nf)
     min2 = np.empty(nf)
     first = np.empty(nf, dtype=np.int64)
@@ -73,202 +138,62 @@ def _flooding_kernel(row_ptr, edge_var, col_ptr, col_edge, llr,
 
     for it in range(1, max_iters + 1):
         # check-node phase: reads v2c written last phase, writes c2v
-        for j in range(m):
+        for j in range(row_ptr.shape[0] - 1):
             lo = row_ptr[j]
             hi = row_ptr[j + 1]
-            d = hi - lo
-            if d == 1:
-                v = norm * clamp
-                for s in range(nf):
-                    if active[s]:
-                        c2v[lo, s] = v
-                continue
-            for s in range(nf):
-                min1[s] = _INF
-                min2[s] = _INF
-                first[s] = -1
-                tsign[s] = 1.0
-            for t in range(d):
-                e = lo + t
-                for s in range(nf):
-                    x = v2c[e, s]
-                    a = -x if x < 0.0 else x
-                    if x < 0.0:
-                        tsign[s] = -tsign[s]
-                    if a < min1[s]:
-                        min2[s] = min1[s]
-                        min1[s] = a
-                        first[s] = t
-                    elif a < min2[s]:
-                        min2[s] = a
-            for t in range(d):
-                e = lo + t
-                for s in range(nf):
-                    if not active[s]:
-                        continue
-                    x = v2c[e, s]
-                    so = -tsign[s] if x < 0.0 else tsign[s]
-                    mag = min2[s] if first[s] == t else min1[s]
-                    v = norm * (so * mag)
-                    if v > clamp:
-                        v = clamp
-                    elif v < -clamp:
-                        v = -clamp
-                    c2v[e, s] = v
-
+            _row_messages(v2c[lo:hi], c2v[lo:hi], active, norm, clamp,
+                          min1, min2, first, tsign)
         # variable-node phase: totals in column-position order
         for i in range(n):
-            clo = col_ptr[i]
-            chi = col_ptr[i + 1]
             for s in range(nf):
                 if not active[s]:
                     continue
                 total = intrinsic[i, s]
-                for t in range(clo, chi):
+                for t in range(col_ptr[i], col_ptr[i + 1]):
                     total += c2v[col_edge[t], s]
-                p = total
-                if p > clamp:
-                    p = clamp
-                elif p < -clamp:
-                    p = -clamp
-                post[i, s] = p
-                for t in range(clo, chi):
+                post[i, s] = _clip(total, clamp)
+                for t in range(col_ptr[i], col_ptr[i + 1]):
                     e = col_edge[t]
-                    v = total - c2v[e, s]
-                    if v > clamp:
-                        v = clamp
-                    elif v < -clamp:
-                        v = -clamp
-                    v2c[e, s] = v
-                bits[i, s] = 1 if post[i, s] < 0.0 else 0
-
-        if early_term:
-            for s in range(nf):
-                if active[s] and _syndrome_ok(row_ptr, edge_var, bits, s):
-                    active[s] = False
-                    iters[s] = it
-                    ok[s] = True
-            if not active.any():
-                break
-
-    if not early_term:
-        for s in range(nf):
-            ok[s] = _syndrome_ok(row_ptr, edge_var, bits, s)
-    return bits, iters, ok, post
+                    v2c[e, s] = _clip(total - c2v[e, s], clamp)
+        if early_term and not _retire(row_ptr, edge_var, post, active, iters, it):
+            break
+    return _result(row_ptr, edge_var, post, iters)
 
 
 @njit(cache=True, nogil=True)
 def _layered_kernel(row_ptr, edge_var, llr, max_iters, early_term, norm, clamp):
-    n, nf = llr.shape
-    m = row_ptr.shape[0] - 1
-    ne = edge_var.shape[0]
-
-    post = np.empty((n, nf))
-    for i in range(n):
-        for s in range(nf):
-            x = llr[i, s]
-            if x > clamp:
-                x = clamp
-            elif x < -clamp:
-                x = -clamp
-            post[i, s] = x
-    msg = np.zeros((ne, nf))
-
-    bits = np.zeros((n, nf), dtype=np.uint8)
+    nf = llr.shape[1]
+    post = _clipped(llr, clamp)
+    msg = np.zeros((edge_var.shape[0], nf))
     iters = np.full(nf, max_iters, dtype=np.int64)
-    ok = np.zeros(nf, dtype=np.bool_)
     active = np.ones(nf, dtype=np.bool_)
-
-    dmax = 0
-    for j in range(m):
-        d = row_ptr[j + 1] - row_ptr[j]
-        if d > dmax:
-            dmax = d
+    dmax = np.max(row_ptr[1:] - row_ptr[:-1])
     ext = np.empty((dmax, nf))
+    new = np.empty((dmax, nf))
     min1 = np.empty(nf)
     min2 = np.empty(nf)
     first = np.empty(nf, dtype=np.int64)
     tsign = np.empty(nf)
 
     for it in range(1, max_iters + 1):
-        for j in range(m):
+        for j in range(row_ptr.shape[0] - 1):
             lo = row_ptr[j]
-            hi = row_ptr[j + 1]
-            d = hi - lo
-            if d == 1:
-                i = edge_var[lo]
-                v = norm * clamp
-                for s in range(nf):
-                    if not active[s]:
-                        continue
-                    p = (post[i, s] - msg[lo, s]) + v
-                    if p > clamp:
-                        p = clamp
-                    elif p < -clamp:
-                        p = -clamp
-                    msg[lo, s] = v
-                    post[i, s] = p
-                continue
-            for s in range(nf):
-                min1[s] = _INF
-                min2[s] = _INF
-                first[s] = -1
-                tsign[s] = 1.0
+            d = row_ptr[j + 1] - lo
             for t in range(d):
-                e = lo + t
-                i = edge_var[e]
+                i = edge_var[lo + t]
                 for s in range(nf):
-                    x = post[i, s] - msg[e, s]
-                    ext[t, s] = x
-                    a = -x if x < 0.0 else x
-                    if x < 0.0:
-                        tsign[s] = -tsign[s]
-                    if a < min1[s]:
-                        min2[s] = min1[s]
-                        min1[s] = a
-                        first[s] = t
-                    elif a < min2[s]:
-                        min2[s] = a
+                    ext[t, s] = post[i, s] - msg[lo + t, s]
+            _row_messages(ext[:d], new[:d], active, norm, clamp,
+                          min1, min2, first, tsign)
             for t in range(d):
-                e = lo + t
-                i = edge_var[e]
+                i = edge_var[lo + t]
                 for s in range(nf):
-                    if not active[s]:
-                        continue
-                    x = ext[t, s]
-                    so = -tsign[s] if x < 0.0 else tsign[s]
-                    mag = min2[s] if first[s] == t else min1[s]
-                    v = norm * (so * mag)
-                    if v > clamp:
-                        v = clamp
-                    elif v < -clamp:
-                        v = -clamp
-                    p = x + v
-                    if p > clamp:
-                        p = clamp
-                    elif p < -clamp:
-                        p = -clamp
-                    msg[e, s] = v
-                    post[i, s] = p
-
-        for i in range(n):
-            for s in range(nf):
-                if active[s]:
-                    bits[i, s] = 1 if post[i, s] < 0.0 else 0
-
-        if early_term:
-            for s in range(nf):
-                if active[s] and _syndrome_ok(row_ptr, edge_var, bits, s):
-                    active[s] = False
-                    iters[s] = it
-                    ok[s] = True
-            if not active.any():
-                break
-
-    if not early_term:
-        for s in range(nf):
-            ok[s] = _syndrome_ok(row_ptr, edge_var, bits, s)
-    return bits, iters, ok, post
+                    if active[s]:
+                        msg[lo + t, s] = new[t, s]
+                        post[i, s] = _clip(ext[t, s] + new[t, s], clamp)
+        if early_term and not _retire(row_ptr, edge_var, post, active, iters, it):
+            break
+    return _result(row_ptr, edge_var, post, iters)
 
 
 def decode_flooding(code, llr, max_iters, early_term, norm, clamp):
@@ -292,7 +217,6 @@ def warmup():
     col_ptr = np.array([0, 1, 3, 4], dtype=np.int32)
     col_edge = np.array([0, 1, 2, 3], dtype=np.int32)
     llr = np.ones((3, 2))
-    _flooding_kernel(row_ptr, edge_var, col_ptr, col_edge, llr, 2, True, 1.0, 64.0)
-    _flooding_kernel(row_ptr, edge_var, col_ptr, col_edge, llr, 2, False, 1.0, 64.0)
-    _layered_kernel(row_ptr, edge_var, llr, 2, True, 1.0, 64.0)
-    _layered_kernel(row_ptr, edge_var, llr, 2, False, 1.0, 64.0)
+    for early in (True, False):
+        _flooding_kernel(row_ptr, edge_var, col_ptr, col_edge, llr, 2, early, 1.0, 64.0)
+        _layered_kernel(row_ptr, edge_var, llr, 2, early, 1.0, 64.0)

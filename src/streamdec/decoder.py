@@ -31,6 +31,11 @@ SCHEDULES = ("flooding", "layered")
 LLR_CLAMP = 64.0
 
 
+def _check_normalization(normalization):
+    if not 0.0 < normalization <= 1.0:  # NaN fails too
+        raise ValueError("normalization must lie in (0, 1]")
+
+
 @dataclass(frozen=True)
 class DecoderConfig:
     """Knobs shared by both schedules.
@@ -62,8 +67,7 @@ class DecoderConfig:
         if not isinstance(self.max_iterations, Integral) or self.max_iterations < 1:
             raise ValueError(f"max_iterations must be an integer >= 1, "
                              f"got {self.max_iterations!r}")
-        if not 0.0 < self.normalization <= 1.0:
-            raise ValueError("normalization must lie in (0, 1]")
+        _check_normalization(self.normalization)
         if self.backend is None:
             object.__setattr__(self, "backend", active_backend())
         elif self.backend not in available_backends():
@@ -102,7 +106,10 @@ def check_node_update(values, normalization: float = 1.0) -> np.ndarray:
     ----------
     values : array_like
         At least two finite incoming LLRs.
+    normalization : float
+        In (0, 1], as ``DecoderConfig.normalization``.
     """
+    _check_normalization(normalization)
     x = _real_llrs(values)
     if x.ndim != 1 or x.size < 2:
         raise ValueError("check_node_update needs a 1-D vector of >= 2 values")

@@ -18,11 +18,9 @@ from streamdec import (
     random_regular_code,
     transmit,
 )
-from streamdec import _kernels_np, _kernels_numba, decoder
+from streamdec import _kernels_np, _kernels_numba, backend, decoder
 from streamdec.backend import HAVE_NUMBA, active_backend, available_backends, get_kernels
 from streamdec.bench import run_ber, run_throughput
-
-needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba not importable")
 
 
 def test_env_flag_selects_backend(monkeypatch):
@@ -35,10 +33,13 @@ def test_env_flag_selects_backend(monkeypatch):
         active_backend()
 
 
-@needs_numba
 def test_env_flag_numba(monkeypatch):
+    # selection reads HAVE_NUMBA when called, and the row-loop module
+    # imports without numba, so this runs on every host
+    monkeypatch.setattr(backend, "HAVE_NUMBA", True)
     monkeypatch.setenv("STREAMDEC_BACKEND", "numba")
     assert active_backend() == "numba"
+    assert get_kernels("numba") is _kernels_numba
 
 
 def test_default_prefers_numba_when_available(monkeypatch):
@@ -53,13 +54,15 @@ def test_get_kernels_rejects_unknown():
 
 
 def test_kernel_modules_expose_uniform_api():
+    # both modules import on every host (the row loops run un-jitted
+    # without numba), so both are checked, warmup included
     modules = {"numpy": _kernels_np, "numba": _kernels_numba}
-    for name in available_backends():
-        mod = get_kernels(name)
-        assert mod is modules[name]
+    for mod in modules.values():
         assert callable(mod.decode_flooding)
         assert callable(mod.decode_layered)
-        assert callable(mod.warmup)
+        mod.warmup()
+    for name in available_backends():
+        assert get_kernels(name) is modules[name]
 
 
 def test_config_backend_reaches_kernels(monkeypatch):
@@ -130,9 +133,10 @@ def _irregular_code(rng, m, n):
             return from_dense(h)
 
 
-def _assert_kernels_match(schedule, code, llr, early, iterations=8, clamp=12.0):
+def _assert_kernels_match(schedule, code, llr, early, iterations=8, clamp=12.0,
+                          norm=0.75):
     """Assert both kernel sets agree; return how many distinct sweep counts."""
-    args = (iterations, early, 0.75, clamp)
+    args = (iterations, early, norm, clamp)
     want = getattr(_kernels_np, f"decode_{schedule}")(code, llr.copy(), *args)
     got = getattr(_kernels_numba, f"decode_{schedule}")(code, llr.copy(), *args)
     for a, b in zip(want, got):
@@ -157,6 +161,8 @@ def test_row_loop_kernels_match_numpy(schedule, early):
         f = int(rng.integers(2, 9))
         llr = 1.0 + rng.normal(0, 1.5, (code.n, f))
         staggered |= _assert_kernels_match(schedule, code, llr, early) > 1
+        # plain min-sum, the default of DecoderConfig and throughput
+        _assert_kernels_match(schedule, code, llr, early, norm=1.0)
     # a regular code at F=32: levels of several rows, lanes leaving at
     # several different sweeps
     code = random_regular_code(96, 48, 6, seed=3)
@@ -184,4 +190,6 @@ def test_row_loop_kernels_match_numpy(schedule, early):
     ch = AwgnChannel(2.0, 0.5, seed=31)
     sym = modulate_bpsk(np.zeros(code.n, dtype=np.uint8))
     llr = np.array([llr_from_channel(ch, transmit(ch, sym, i)) for i in range(16)]).T
-    _assert_kernels_match(schedule, code, llr, early, iterations=15, clamp=64.0)
+    for norm in (0.75, 1.0):
+        _assert_kernels_match(schedule, code, llr, early, iterations=15, clamp=64.0,
+                              norm=norm)

@@ -20,6 +20,7 @@ from streamdec._kernels_np import (
     _syndrome_ok_lanes,
     decode_flooding as np_flood,
 )
+from streamdec._kernels_numba import _syndrome_ok as _row_loop_syndrome_ok
 from streamdec.channel import AwgnChannel, llr_from_channel, modulate_bpsk, transmit
 
 from oracles import H_EXAMPLE, naive_check_node_update
@@ -118,6 +119,9 @@ def test_check_node_validates():
                    ["1", "2"], [[1.0, 2.0], [3.0]]):
         with pytest.raises(ValueError, match="real numbers"):
             check_node_update(values)
+    for norm in (np.nan, 0.0, -1.0, 5.0):  # DecoderConfig's range, (0, 1]
+        with pytest.raises(ValueError, match="normalization"):
+            check_node_update([1.0, -2.0, 3.0], normalization=norm)
 
 
 # --- basic decode behavior -------------------------------------------------
@@ -200,6 +204,13 @@ def test_lane_syndrome_flags_match_code_syndrome(code10):
             got = _syndrome_ok_lanes(code, bits)
             want = [not syndrome(code, bits[:, s]).any() for s in range(f)]
             assert got.tolist() == want
+            # the row loops read bits off a posterior: bit 1 is negative,
+            # bit 0 is positive or a zero of either sign
+            zero = rng.choice([1.0, 0.0, -0.0], bits.shape)
+            post = np.where(bits == 1, -1.0, zero) * rng.uniform(0.5, 9, bits.shape)
+            got = [_row_loop_syndrome_ok(code.row_ptr, code.edge_var, post, s)
+                   for s in range(f)]
+            assert got == want
             if form.k:
                 assert any(want)
 
