@@ -14,18 +14,26 @@ step reads its inputs as a (max_row_degree, rows, F) block of
 contiguous (rows, F) slabs, one per slot, with no copy for a regular
 code.  ``_check_messages`` takes the two smallest magnitudes with a
 running two-minimum over the slabs, which selects values and computes
-none, and each slot's sign as its own sign XOR the row's sign parity;
-the result equals the row loops' ``norm * (sign * mag)``, clipped, bit
-for bit, signed zeros included.  The syndrome reduces over the same
-block.  Padding is inert, never masked: the check step pads rows to
-``max_row_degree`` with ``+inf``, which never wins a minimum and is
-never negative, the syndrome pads with 0, and the flooding variable
-phase points the padding slots of ``code.col_pad_pos`` at a ``-0.0``
-row past the last message, as ``x + (-0.0) == x`` for every x, signed
-zeros included.  Both schedules sweep in lockstep under ``_Lanes``: with
-early termination a converged lane leaves the working arrays, so its
-messages and posterior are never written again, and its bits and
-syndrome flag are read from that final posterior.
+none, scales and clips them, and then applies each slot's sign, its
+own sign XOR the row's sign parity, by toggling the IEEE sign bit of
+the clipped magnitude with one integer XOR, which has no per-element
+branch.  That equals the row loops' ``norm * (sign * mag)``, clipped,
+bit for bit: every magnitude is +0.0 or more, so the toggle is exactly
+unary minus, +0.0 to -0.0 included, and scaling and clipping commute
+with negation because rounding is symmetric in sign.  A -0.0 input
+counts as positive (``vals < 0.0``), as in the row loops; its magnitude
+is +0.0 here but -0.0 there, so a zero message taken from it is +0.0
+here and -0.0 there, the one case where the two differ.  The syndrome
+reduces over the same block.  Padding is inert, never masked: the check
+step pads rows to ``max_row_degree`` with ``+inf``, which never wins a
+minimum and is never negative, the syndrome pads with 0, and the
+flooding variable phase points the padding slots of
+``code.col_pad_pos`` at a ``-0.0`` row past the last message, as
+``x + (-0.0) == x`` for every x, signed zeros included.  Both schedules
+sweep in lockstep under ``_Lanes``: with early termination a converged
+lane leaves the working arrays, so its messages and posterior are never
+written again, and its bits and syndrome flag are read from that final
+posterior.
 
 The layered kernel keeps its check messages as one (edges, F) array per
 level, in ``plan.edge`` order, so a level step reads and writes them
@@ -43,6 +51,8 @@ that needs its LLRs back passes a copy.
 from __future__ import annotations
 
 import numpy as np
+
+_SIGN_BIT = np.uint64(63)  # the IEEE 754 sign bit of a float64
 
 
 def _slot_block(code, plan, vals, pad):
@@ -68,7 +78,7 @@ def _check_messages(vals, norm, clamp):
     vals : (dmax, rows, F) gathered inputs, slot t of every row in
     ``vals[t]``; padding slots hold ``+inf``, which never wins a minimum
     and is never negative, so it is inert.  Returns messages of the same
-    shape (garbage in padding slots).
+    shape in a new array (garbage in padding slots); ``vals`` is unchanged.
     """
     a = np.abs(vals)
     # running two-minimum over the slots; a tie leaves min2 == min1, so
@@ -87,8 +97,10 @@ def _check_messages(vals, norm, clamp):
     mag *= norm
     np.minimum(mag, clamp, out=mag)
     neg = vals < 0.0
-    flip = neg ^ np.bitwise_xor.reduce(neg, axis=0)
-    return np.where(flip, -mag, mag)  # np.negative(where=) is ~7x slower at F=32
+    neg ^= np.bitwise_xor.reduce(neg, axis=0)  # True where a slot's sign flips
+    bits = mag.view(np.uint64)
+    bits ^= np.left_shift(neg, _SIGN_BIT, dtype=np.uint64)
+    return mag
 
 
 def _check_rows(code, plan, vals, norm, clamp):

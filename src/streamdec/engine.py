@@ -8,8 +8,8 @@ so the results are bit-identical to decoding each job alone, and the
 group pays kernel dispatch and, on the numpy backend, GIL hand-offs once
 instead of once per job.  The residency rule below bounds a group at
 queue_depth jobs, so its memory grows with queue_depth * f lanes.  On
-the numpy backend a 576x288 decode peaks at about 27 KB per lane when
-layered and about 120 KB per lane when flooding, LLR block included.
+the numpy backend a 576x288 decode peaks at about 24 KB per lane when
+layered and about 105 KB per lane when flooding, LLR block included.
 The numba kernels release the GIL for a
 whole decode, so streams overlap on real cores; numpy releases it only
 inside each array operation, which is why wide groups matter there.
@@ -60,8 +60,8 @@ class StreamConfig:
 
     A worker decodes all the jobs queued on its stream as one group of at
     most queue_depth * f lanes, so queue_depth also sets the decode memory
-    per stream: for a 576x288 code on the numpy backend, about 27 KB per
-    lane layered and 120 KB per lane flooding.
+    per stream: for a 576x288 code on the numpy backend, about 24 KB per
+    lane layered and 105 KB per lane flooding.
     """
 
     w: int = 1

@@ -87,11 +87,13 @@ def test_check_node_matches_naive_oracle():
         assert np.array_equal(got, want)
     # the kernels' form: a slot-major (d, rows, F) block whose columns are
     # rows of varied degree padded with +inf; a degree-1 column's one
-    # output is the empty minimum, +inf, clipped to the clamp
+    # output is the empty minimum, +inf, clipped to the clamp.  The last
+    # shape is a kernel-scale level step, 26 rows of degree 6 at F=128
     values = [-1e-9, 0.0, -0.0, 1e-9, 2.0, -2.0, 3.5, -3.5]
-    for d in (1, 2, 3, 6, 7):
+    for shape in [(d, 9, 5) for d in (1, 2, 3, 6, 7)] + [(6, 26, 128)]:
+        d = shape[0]
         for clamp in (np.inf, 2.5):
-            block = np.full((d, 9, 5), np.inf)
+            block = np.full(shape, np.inf)
             degs = rng.integers(1, d + 1, block.shape[1:])
             degs[:3] = d
             for (j, s), k in np.ndenumerate(degs):
@@ -100,7 +102,10 @@ def test_check_node_matches_naive_oracle():
                 block[:, 0, 0] = [2.0, -2.0, 2.0] + [5.0] * (d - 3)  # triple tie
                 block[:, 1, 0] = [-0.0, 0.0, -0.0] + [-1.0] * (d - 3)
             norm = float(rng.choice([1.0, 0.75]))
+            before = block.copy()
             got = _check_messages(block, norm, clamp)
+            # the signs are applied in place on the result, never on the input
+            assert np.array_equal(block.view(np.uint64), before.view(np.uint64))
             for (j, s), k in np.ndenumerate(degs):
                 x = block[:k, j, s]
                 want = (naive_check_node_update(x, norm) if k > 1
