@@ -1,7 +1,7 @@
 """Multi-stream LDPC decoding: batched min-sum kernels behind worker pipelines."""
 
 from .backend import HAVE_NUMBA, active_backend, available_backends
-from .batch import BatchOutcome, FrameBatch, decode_batch, deinterleave, interleave
+from .batch import BatchOutcome, decode_batch, deinterleave, interleave
 from .channel import AwgnChannel, llr_from_channel, modulate_bpsk, transmit
 from .code import (
     AlistFormatError,
@@ -36,7 +36,6 @@ __all__ = [
     "DecoderConfig",
     "DegenerateCodeError",
     "Engine",
-    "FrameBatch",
     "GeneratorForm",
     "HAVE_NUMBA",
     "ParityCheckCode",

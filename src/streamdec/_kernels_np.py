@@ -18,12 +18,11 @@ none, scales and clips them, and then applies each slot's sign, its
 own sign XOR the row's sign parity, by toggling the IEEE sign bit of
 the clipped magnitude with one integer XOR, which has no per-element
 branch.  That equals the row loops' ``norm * (sign * mag)``, clipped,
-bit for bit: every magnitude is +0.0 or more, so the toggle is exactly
-unary minus, +0.0 to -0.0 included, and scaling and clipping commute
-with negation because rounding is symmetric in sign.  A -0.0 input
-counts as positive (``vals < 0.0``), as in the row loops; its magnitude
-is +0.0 here but -0.0 there, so a zero message taken from it is +0.0
-here and -0.0 there, the one case where the two differ.  The syndrome
+bit for bit, signed zeros included: every magnitude is +0.0 or more, so
+the toggle is exactly unary minus, +0.0 to -0.0 included, and scaling
+and clipping commute with negation because rounding is symmetric in
+sign.  A -0.0 input counts as positive (``vals < 0.0``) and has
+magnitude +0.0, as in the row loops.  The syndrome
 reduces over the same block.  Padding is inert, never masked: the check
 step pads rows to ``max_row_degree`` with ``+inf``, which never wins a
 minimum and is never negative, the syndrome pads with 0, and the
@@ -41,11 +40,6 @@ without a gather or scatter.  No array of a decode is then larger than
 its (n, F) block.  A single (edge_count, F) message array would be, and
 freeing it raises glibc's dynamic mmap threshold to its size, after which
 every thread's malloc arena keeps up to twice that size of freed memory.
-
-A kernel owns the (n, F) LLR block it is given: it clips the block in
-place and keeps it as its posterior buffer (layered) or intrinsic buffer
-(flooding), so the caller must not read the block afterwards.  A caller
-that needs its LLRs back passes a copy.
 """
 
 from __future__ import annotations
@@ -155,9 +149,8 @@ class _Lanes:
 
 
 def decode_flooding(code, llr, max_iters, early_term, norm, clamp):
-    """Two-phase min-sum over an owned llr block, which becomes the clipped
-    intrinsic buffer.  Returns (bits, iterations, syndrome_ok, posterior)."""
-    intrinsic = np.clip(llr, -clamp, clamp, out=llr)
+    """Two-phase min-sum.  Returns (bits, iterations, syndrome_ok, posterior)."""
+    intrinsic = np.clip(llr, -clamp, clamp)
     plan = code.row_plan
     lanes = _Lanes(code, max_iters, early_term,
                    intrinsic.copy(), intrinsic, intrinsic[plan.var, :])
@@ -189,21 +182,16 @@ def _layered_level(code, plan, post, msg, norm, clamp):
 
 
 def decode_layered(code, llr, max_iters, early_term, norm, clamp):
-    """Horizontal layered min-sum over an owned llr block, which becomes
-    the posterior buffer, updated in place.
+    """Horizontal layered min-sum, posteriors updated in place.
 
     Each sweep runs ``code.levels`` in order, one vectorised step per
     level.  Rows within a level share no variable, so the result equals
     visiting the rows one by one in ascending order.
     """
-    post = np.clip(llr, -clamp, clamp, out=llr)
+    post = np.clip(llr, -clamp, clamp)
     lanes = _Lanes(code, max_iters, early_term, post,
                    *(np.zeros((len(p.edge), llr.shape[1])) for p in code.level_plans))
     for post, *msgs in lanes:
         for plan, msg in zip(code.level_plans, msgs):
             _layered_level(code, plan, post, msg, norm, clamp)
     return lanes.result()
-
-
-def warmup():
-    """Nothing to precompile for the numpy path."""

@@ -71,7 +71,7 @@ def _row_messages(x, out, active, norm, clamp, min1, min2, first, tsign):
     for t in range(d):
         for s in range(nf):
             v = x[t, s]
-            a = -v if v < 0.0 else v
+            a = abs(v)
             if v < 0.0:
                 tsign[s] = -tsign[s]
             if a < min1[s]:
@@ -208,15 +208,3 @@ def decode_layered(code, llr, max_iters, early_term, norm, clamp):
     return _layered_kernel(code.row_ptr, code.edge_var,
                            np.ascontiguousarray(llr, dtype=np.float64),
                            max_iters, early_term, float(norm), float(clamp))
-
-
-def warmup():
-    """Force JIT compilation on a toy code so first real decode is cheap."""
-    row_ptr = np.array([0, 2, 4], dtype=np.int32)
-    edge_var = np.array([0, 1, 1, 2], dtype=np.int32)
-    col_ptr = np.array([0, 1, 3, 4], dtype=np.int32)
-    col_edge = np.array([0, 1, 2, 3], dtype=np.int32)
-    llr = np.ones((3, 2))
-    for early in (True, False):
-        _flooding_kernel(row_ptr, edge_var, col_ptr, col_edge, llr, 2, early, 1.0, 64.0)
-        _layered_kernel(row_ptr, edge_var, llr, 2, early, 1.0, 64.0)

@@ -1,10 +1,11 @@
-"""Symbol-major frame batches and lockstep decoding.
+"""Symbol-major frame blocks and lockstep decoding.
 
-A batch holds F frames interleaved so that element i of frame s sits at
-flat position i * F + s: all F copies of a symbol are adjacent, which is
-what lets the kernels stream one edge across every lane.  Lockstep
-decoding is bit-identical to decoding each frame alone; with early
-termination a converged lane freezes while the rest keep iterating.
+A lane block holds F frames as one C-ordered (n, F) float64 array, so
+element i of frame s sits at flat position i * F + s: all F copies of a
+symbol are adjacent, which is what lets the kernels stream one edge
+across every lane.  Lockstep decoding is bit-identical to decoding each
+frame alone; with early termination a converged lane freezes while the
+rest keep iterating.  A decode reads its block and never writes it.
 """
 
 from __future__ import annotations
@@ -16,27 +17,7 @@ import numpy as np
 from .code import ParityCheckCode
 from .decoder import DecodeOutcome, DecoderConfig, _decode_lanes, _real_llrs
 
-__all__ = ["FrameBatch", "BatchOutcome", "interleave", "deinterleave", "decode_batch"]
-
-
-@dataclass
-class FrameBatch:
-    """F frames of length n, flattened symbol-major."""
-
-    f: int
-    n: int
-    data: np.ndarray
-
-    def __post_init__(self):
-        if self.f < 1 or self.n < 1:
-            raise ValueError("f and n must be >= 1")
-        self.data = np.ascontiguousarray(_real_llrs(self.data))
-        if self.data.shape != (self.f * self.n,):
-            raise ValueError(f"data must be flat with length f*n = {self.f * self.n}")
-
-    def lanes(self) -> np.ndarray:
-        """Lane-major (n, f) view of the batch."""
-        return self.data.reshape(self.n, self.f)
+__all__ = ["BatchOutcome", "interleave", "deinterleave", "decode_batch"]
 
 
 @dataclass(frozen=True)
@@ -63,28 +44,30 @@ class BatchOutcome:
         return (self[s] for s in range(len(self)))
 
 
-def interleave(frames) -> FrameBatch:
-    """Pack F equal-length frames into one symbol-major batch."""
-    arr = np.asarray(frames)
-    if arr.ndim != 2:
-        raise ValueError("frames must be a 2-D stack of equal-length rows")
-    f, n = arr.shape
-    data = np.ascontiguousarray(arr.T).reshape(-1)
-    return FrameBatch(f=f, n=n, data=data)
+def interleave(frames) -> np.ndarray:
+    """Pack F equal-length frames, (F, n), into the (n, F) lane block."""
+    arr = _real_llrs(frames)
+    if arr.ndim != 2 or 0 in arr.shape:
+        raise ValueError("frames must be a 2-D stack of one or more "
+                         "equal-length, non-empty rows")
+    return np.ascontiguousarray(arr.T)
 
 
-def deinterleave(batch: FrameBatch) -> np.ndarray:
-    """Unpack a batch back to an (F, n) stack of frames."""
-    return batch.lanes().T.copy()
+def deinterleave(lanes: np.ndarray) -> np.ndarray:
+    """Unpack an (n, F) lane block back to an (F, n) stack of frames."""
+    return lanes.T.copy()
 
 
-def decode_batch(code: ParityCheckCode, batch: FrameBatch,
-                 config: DecoderConfig) -> BatchOutcome:
-    """Decode all lanes of a batch in lockstep.
+def decode_batch(code: ParityCheckCode, lanes, config: DecoderConfig) -> BatchOutcome:
+    """Decode the F lanes of an (n, F) block in lockstep.
 
     Every lane follows the same arithmetic order as the single-frame
     decoder, so outcomes match per-frame decoding exactly, including
     iterations_run under early termination.
     """
-    bits, iters, ok, _ = _decode_lanes(code, batch.lanes().copy(), config)
+    lanes = _real_llrs(lanes)
+    if lanes.ndim != 2 or lanes.shape[1] == 0:
+        raise ValueError(f"lanes must be an (n, F) block with F >= 1, "
+                         f"got shape {lanes.shape}")
+    bits, iters, ok, _ = _decode_lanes(code, lanes, config)
     return BatchOutcome(bits.T, iters, ok)

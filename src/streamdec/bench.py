@@ -191,11 +191,11 @@ def _sweep(code, configs, ebno_list, frames, seed, f, all_zeros, noiseless=False
     tally = np.zeros((len(configs), len(channels), 4), dtype=np.int64)
     for start in range(0, frames, f):
         sent = messages[start:start + f]
-        symbols = modulate_bpsk(np.stack([gen.encode(u) for u in sent]))
+        symbols = modulate_bpsk(gen.encode(sent))
         for p, ch in enumerate(channels):
-            lanes = interleave(4.0 * symbols if noiseless else np.stack([
-                llr_from_channel(ch, transmit(ch, x, frame_index=start + j))
-                for j, x in enumerate(symbols)]))
+            lanes = interleave(4.0 * symbols if noiseless else llr_from_channel(
+                ch, np.stack([transmit(ch, x, frame_index=start + j)
+                              for j, x in enumerate(symbols)])))
             for c, cfg in enumerate(configs):
                 outcome = decode_batch(code, lanes, cfg)
                 errs = np.count_nonzero(outcome.bits[:, gen.message_columns] != sent,

@@ -364,18 +364,18 @@ class GeneratorForm:
         return self.column_permutation[self.k:]
 
     def encode(self, message) -> np.ndarray:
-        """Message bits (length k) -> codeword bits (length n), H @ c = 0."""
+        """Message bits (..., k) -> codeword bits (..., n), H @ c = 0 for
+        each; a (F, k) block encodes F frames with one GF(2) product."""
         u = np.asarray(message)
-        if u.shape != (self.k,):
-            raise ValueError(f"message must have shape ({self.k},)")
+        if u.ndim == 0 or u.shape[-1] != self.k:
+            raise ValueError(f"message must have shape (..., {self.k})")
         if not np.isin(u, (0, 1)).all():
             raise ValueError("message bits must be 0 or 1")
         u = u.astype(np.uint8)
-        n = self.column_permutation.shape[0]
-        cw = np.zeros(n, dtype=np.uint8)
-        cw[self.message_columns] = u
-        if self.parity_rows.shape[0]:
-            cw[self.parity_columns] = (self.parity_rows @ u) % 2
+        cw = np.zeros(u.shape[:-1] + self.column_permutation.shape, dtype=np.uint8)
+        cw[..., self.message_columns] = u
+        # uint8 sums wrap modulo 256, which keeps their parity
+        cw[..., self.parity_columns] = (u @ self.parity_rows.T) % 2
         return cw
 
 

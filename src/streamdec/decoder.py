@@ -82,16 +82,16 @@ class DecodeOutcome:
     syndrome_ok: bool
 
 
-def _real_llrs(values, copy: bool = False) -> np.ndarray:
+def _real_llrs(values) -> np.ndarray:
     """values as float64, or ValueError unless they are real numbers; a
-    float64 array comes back as itself unless ``copy`` is set."""
+    float64 array comes back as itself."""
     try:
         arr = np.asarray(values)
     except ValueError as e:  # ragged nesting
         raise ValueError(f"LLRs must be an array of real numbers: {e}") from None
     if arr.dtype.kind not in "biuf":
         raise ValueError(f"LLRs must be real numbers, not {arr.dtype}")
-    return arr.astype(np.float64, copy=copy)
+    return arr.astype(np.float64, copy=False)
 
 
 def check_node_update(values, normalization: float = 1.0) -> np.ndarray:
@@ -119,11 +119,7 @@ def check_node_update(values, normalization: float = 1.0) -> np.ndarray:
 
 
 def _decode_lanes(code: ParityCheckCode, lanes: np.ndarray, config: DecoderConfig):
-    """Dispatch lane-major (n, F) LLRs to the config's kernel set.
-
-    Takes ownership of ``lanes``: the numpy kernels clip it in place and
-    decode in it, so a caller that keeps its LLRs passes a copy.
-    """
+    """Dispatch lane-major (n, F) LLRs to the config's kernel set."""
     if lanes.shape[0] != code.n:
         raise ValueError(f"LLR rows ({lanes.shape[0]}) do not match code n ({code.n})")
     if not np.isfinite(lanes).all():
@@ -136,7 +132,7 @@ def _decode_lanes(code: ParityCheckCode, lanes: np.ndarray, config: DecoderConfi
 
 def decode_frame(code: ParityCheckCode, frame, config: DecoderConfig) -> DecodeOutcome:
     """Decode one (n,) frame with the schedule and kernels the config selects."""
-    llr = _real_llrs(frame, copy=True)  # a copy: the decode owns it
+    llr = _real_llrs(frame)
     if llr.shape != (code.n,):
         raise ValueError(f"frame must have shape ({code.n},)")
     bits, iters, ok, _ = _decode_lanes(code, llr.reshape(code.n, 1), config)

@@ -8,11 +8,12 @@ so the results are bit-identical to decoding each job alone, and the
 group pays kernel dispatch and, on the numpy backend, GIL hand-offs once
 instead of once per job.  The residency rule below bounds a group at
 queue_depth jobs, so its memory grows with queue_depth * f lanes.  On
-the numpy backend a 576x288 decode peaks at about 24 KB per lane when
-layered and about 105 KB per lane when flooding, LLR block included.
-The numba kernels release the GIL for a
-whole decode, so streams overlap on real cores; numpy releases it only
-inside each array operation, which is why wide groups matter there.
+the numpy backend a 576x288 group peaks at about 29 KB per lane when
+layered and about 110 KB per lane when flooding: the packed block, which
+the decode reads and never writes, plus the decode's clipped copy and
+working arrays.  The numba kernels release the GIL for a whole decode,
+so streams overlap on real cores; numpy releases it only inside each
+array operation, which is why wide groups matter there.
 Dispatch picks the least-loaded stream (queued plus in-flight), breaking
 ties round-robin, so equally idle streams are filled in rotation.
 
@@ -60,8 +61,8 @@ class StreamConfig:
 
     A worker decodes all the jobs queued on its stream as one group of at
     most queue_depth * f lanes, so queue_depth also sets the decode memory
-    per stream: for a 576x288 code on the numpy backend, about 24 KB per
-    lane layered and 105 KB per lane flooding.
+    per stream: for a 576x288 code on the numpy backend, about 29 KB per
+    lane layered and 110 KB per lane flooding, packed block included.
     """
 
     w: int = 1
@@ -263,8 +264,7 @@ class Engine:
 
         Returns [(job_id, BatchOutcome)] in group order, each outcome made
         of row slices of the group's arrays, and the seconds spent packing,
-        decoding and slicing.  The packed block is the decode's own: the
-        kernels clip it in place and keep their posteriors in it.
+        decoding and slicing.
         """
         f = self.stream_config.f
         t0 = time.perf_counter()

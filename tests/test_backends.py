@@ -55,12 +55,11 @@ def test_get_kernels_rejects_unknown():
 
 def test_kernel_modules_expose_uniform_api():
     # both modules import on every host (the row loops run un-jitted
-    # without numba), so both are checked, warmup included
+    # without numba), so both are checked
     modules = {"numpy": _kernels_np, "numba": _kernels_numba}
     for mod in modules.values():
         assert callable(mod.decode_flooding)
         assert callable(mod.decode_layered)
-        mod.warmup()
     for name in available_backends():
         assert get_kernels(name) is modules[name]
 
@@ -137,8 +136,8 @@ def _assert_kernels_match(schedule, code, llr, early, iterations=8, clamp=12.0,
                           norm=0.75):
     """Assert both kernel sets agree; return how many distinct sweep counts."""
     args = (iterations, early, norm, clamp)
-    want = getattr(_kernels_np, f"decode_{schedule}")(code, llr.copy(), *args)
-    got = getattr(_kernels_numba, f"decode_{schedule}")(code, llr.copy(), *args)
+    want = getattr(_kernels_np, f"decode_{schedule}")(code, llr, *args)
+    got = getattr(_kernels_numba, f"decode_{schedule}")(code, llr, *args)
     for a, b in zip(want, got):
         assert a.dtype == b.dtype and np.array_equal(a, b)
     for bits, _, ok, post in (want, got):  # outputs follow from the posterior
@@ -177,6 +176,14 @@ def test_row_loop_kernels_match_numpy(schedule, early):
     _assert_kernels_match(schedule, code, llr, early)
     code = _irregular_code(rng, 12, 24)
     _assert_kernels_match(schedule, code, np.round(rng.normal(0, 2, (code.n, 8))), early)
+    # LLRs of -0.0, 0.0, +-1 and 2 on 12x6 codes: a -0.0 input has
+    # magnitude +0.0 in both sets, so zero messages, and zero posteriors
+    # under early termination, carry the same sign
+    zrng = np.random.default_rng(1)
+    for _ in range(5):
+        code = random_regular_code(12, 6, 4, seed=int(zrng.integers(1 << 20)))
+        llr = zrng.choice([-0.0, 0.0, 1.0, -1.0, 2.0], size=(code.n, 8))
+        _assert_kernels_match(schedule, code, llr, early, iterations=3)
     # every row of degree 1: no second minimum anywhere
     code = ParityCheckCode([[0], [1], [0], [2], [1]], 3)
     assert code.max_row_degree == 1

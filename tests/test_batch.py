@@ -1,4 +1,4 @@
-"""Frame batches: interleave law, round trips, lockstep equivalence."""
+"""Lane blocks: interleave law, round trips, lockstep equivalence."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from streamdec import (
     AwgnChannel,
     DecoderConfig,
-    FrameBatch,
     decode_batch,
     decode_frame,
     deinterleave,
@@ -17,6 +16,9 @@ from streamdec import (
     random_regular_code,
     transmit,
 )
+
+from streamdec import _kernels_np, _kernels_numba
+from streamdec.decoder import LLR_CLAMP
 
 from oracles import H_EXAMPLE
 
@@ -36,14 +38,15 @@ def noisy_frames(code, count, ebno, seed):
 
 def test_interleave_law_two_frames():
     batch = interleave([[1.0, 2.0, 3.0], [10.0, 20.0, 30.0]])
-    assert batch.f == 2 and batch.n == 3
-    assert batch.data.tolist() == [1.0, 10.0, 2.0, 20.0, 3.0, 30.0]
+    assert batch.shape == (3, 2) and batch.dtype == np.float64
+    assert batch.flags.c_contiguous
+    assert batch.ravel().tolist() == [1.0, 10.0, 2.0, 20.0, 3.0, 30.0]
 
 
 def test_interleave_single_frame_identity():
     frame = np.arange(7, dtype=np.float64)
     batch = interleave(frame[None, :])
-    assert batch.data.tolist() == frame.tolist()
+    assert batch.ravel().tolist() == frame.tolist()
     assert deinterleave(batch)[0].tolist() == frame.tolist()
 
 
@@ -63,22 +66,16 @@ def test_interleave_rejects_ragged_and_empty():
     with pytest.raises(ValueError):
         interleave(np.zeros((0, 4)))
     with pytest.raises(ValueError):
+        interleave(np.zeros((2, 0)))  # frames of no symbols
+    with pytest.raises(ValueError):
         interleave(np.zeros(5))  # 1-D input is ambiguous
     for frames in (np.zeros((2, 3), dtype=complex), [["0", "1"]]):
         with pytest.raises(ValueError, match="real numbers"):
             interleave(frames)
 
 
-def test_frame_batch_validates_length():
-    with pytest.raises(ValueError):
-        FrameBatch(f=2, n=3, data=np.zeros(5))
-    with pytest.raises(ValueError):
-        FrameBatch(f=0, n=3, data=np.zeros(0))
-
-
 def test_lane_view_matches_law():
-    batch = interleave([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    lanes = batch.lanes()
+    lanes = interleave([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
     assert lanes.shape == (2, 3)
     assert lanes[:, 0].tolist() == [1.0, 2.0]
     assert lanes[:, 2].tolist() == [5.0, 6.0]
@@ -108,6 +105,10 @@ def test_batch_matches_scalar(code10, schedule, early):
         assert np.array_equal(got.bits, want.bits)
         assert got.iterations_run == want.iterations_run
         assert got.syndrome_ok == want.syndrome_ok
+    # any (n, F) layout decodes alike, here a transposed, F-ordered view
+    strided = decode_batch(code10, frames.T, config)
+    assert np.array_equal(strided.bits, batched.bits)
+    assert np.array_equal(strided.iterations, batched.iterations)
 
 
 def test_lane_isolation(code10):
@@ -128,17 +129,20 @@ def test_lane_isolation(code10):
 
 @pytest.mark.parametrize("schedule", SCHEDULES)
 def test_decode_leaves_input_unchanged(code10, schedule):
-    # the kernels clip the block they are given in place, so both entry
-    # points must hand them a copy; LLRs beyond the clamp (64) would show a leak
+    # every decode clips into its own buffer; LLRs beyond the clamp (64)
+    # would show a write to the input
     config = DecoderConfig(schedule=schedule, max_iterations=4)
     frames = np.random.default_rng(8).normal(0.0, 200.0, (4, code10.n))
     batch = interleave(frames)
-    before = batch.data.tobytes()
+    before = batch.tobytes()
     decode_batch(code10, batch, config)
-    assert batch.data.tobytes() == before
+    assert batch.tobytes() == before
     frame = frames[0].copy()
     decode_frame(code10, frame, config)
     assert frame.tobytes() == frames[0].tobytes()
+    for kernels in (_kernels_np, _kernels_numba):
+        getattr(kernels, f"decode_{schedule}")(code10, batch, 4, True, 1.0, LLR_CLAMP)
+        assert batch.tobytes() == before
 
 
 def test_decode_batch_dimension_mismatch(code10):
@@ -148,6 +152,11 @@ def test_decode_batch_dimension_mismatch(code10):
     with pytest.raises(ValueError):
         decode_batch(code10, batch, config)
     assert len(decode_batch(other, batch, config)) == 2
+    # a block is (n, F) real numbers with F >= 1; frames go through
+    # interleave first
+    for bad in (np.zeros(16), np.zeros((16, 2), dtype=complex), np.zeros((16, 0))):
+        with pytest.raises(ValueError):
+            decode_batch(other, bad, config)
 
 
 def test_batch_outcome_container(code10):

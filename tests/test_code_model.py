@@ -191,13 +191,21 @@ def test_systematic_form_matches_enumeration(code10):
         assert cw[gen.message_columns].tolist() == u.tolist()
         encoded.add(tuple(int(b) for b in cw))
     assert encoded == set(enumerate_codewords(H_EXAMPLE))
+    # a (F, k) block encodes each row exactly as the per-frame call does
+    block = (np.arange(2 ** gen.k)[:, None] >> np.arange(gen.k)) & 1
+    words = gen.encode(block)
+    assert words.shape == (2 ** gen.k, 10) and words.dtype == np.uint8
+    assert np.array_equal(words, np.stack([gen.encode(u) for u in block]))
 
 
 def test_encode_zero_message_is_zero(code10):
     gen = systematic_form(code10)
     assert not gen.encode(np.zeros(gen.k, dtype=np.uint8)).any()
-    with pytest.raises(ValueError):
-        gen.encode(np.zeros(gen.k + 1, dtype=np.uint8))
+    assert not gen.encode(np.zeros((3, gen.k), dtype=np.uint8)).any()
+    for bad in (np.zeros(gen.k + 1), np.zeros((3, gen.k + 1)), np.uint8(0),
+                np.full((2, gen.k), 2)):
+        with pytest.raises(ValueError):
+            gen.encode(bad)
 
 
 def test_rank_deficient_triangle():
