@@ -47,6 +47,9 @@ from __future__ import annotations
 import numpy as np
 
 _SIGN_BIT = np.uint64(63)  # the IEEE 754 sign bit of a float64
+# Flooding's (edges, F) temporaries outgrow the cache as F grows; chunks
+# of 16 to 32 lanes decoded fastest per frame on a 576x288 code.
+_FLOOD_LANES = 32
 
 
 def _slot_block(code, plan, vals, pad):
@@ -149,11 +152,25 @@ class _Lanes:
 
 
 def decode_flooding(code, llr, max_iters, early_term, norm, clamp):
-    """Two-phase min-sum.  Returns (bits, iterations, syndrome_ok, posterior)."""
+    """Two-phase min-sum.  Returns (bits, iterations, syndrome_ok, posterior).
+
+    The lanes run in chunks of at most ``_FLOOD_LANES``, each under its
+    own ``_Lanes``, so the working set stays that narrow at any width.
+    """
+    outs = [_flood_chunk(code, llr[:, s:s + _FLOOD_LANES], max_iters, early_term,
+                         norm, clamp)
+            for s in range(0, llr.shape[1], _FLOOD_LANES)]
+    if len(outs) == 1:
+        return outs[0]
+    return tuple(np.concatenate(parts, axis=-1) for parts in zip(*outs))
+
+
+def _flood_chunk(code, llr, max_iters, early_term, norm, clamp):
     intrinsic = np.clip(llr, -clamp, clamp)
     plan = code.row_plan
+    # the first sweep writes every lane's posterior before anything reads it
     lanes = _Lanes(code, max_iters, early_term,
-                   intrinsic.copy(), intrinsic, intrinsic[plan.var, :])
+                   np.empty_like(intrinsic), intrinsic, intrinsic[plan.var, :])
     for post, intrinsic, v2c in lanes:  # messages in plan.edge order
         c2v = _check_rows(code, plan, v2c, norm, clamp)
         # variable totals accumulate in column-adjacency position order

@@ -5,6 +5,7 @@ naturally vary between runs; every other reported figure is reproducible
 byte for byte, which the CLI relies on for stable CSV output.
 """
 
+import math
 import threading
 import time
 from collections import deque
@@ -12,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import decode_batch, interleave
-from .channel import AwgnChannel, llr_from_channel, modulate_bpsk, transmit
+from .batch import decode_batch
+from .channel import AwgnChannel, frame_noise, llr_from_channel, modulate_bpsk
 from .code import ParityCheckCode, systematic_form
 from .decoder import DecoderConfig
 from .engine import StreamConfig, engine_start
@@ -163,13 +164,33 @@ def median_throughput(results: list[BenchResult]) -> float:
     return float(np.median([r.throughput_mbps for r in results]))
 
 
+def _message_batches(frames, k, f, seed, all_zeros):
+    """(first frame, (F', k) uint8 messages) of each batch of ``f`` frames.
+
+    Random messages come from one generator, drawn 4 * f rows at a time:
+    numpy's bounded uint8 draw consumes whole 32-bit words per call, and
+    a call for a multiple of 4 values leaves no part of one unused, so the
+    chunks equal one draw of every message while only one is held.
+    """
+    mrng = np.random.default_rng(np.random.SeedSequence((seed, 0x5E)))
+    for first in range(0, frames, 4 * f):
+        rows = min(4 * f, frames - first)
+        chunk = (np.zeros((rows, k), dtype=np.uint8) if all_zeros
+                 else mrng.integers(0, 2, size=(rows, k), dtype=np.uint8))
+        for b in range(0, rows, f):
+            yield first + b, chunk[b:b + f]
+
+
 def _sweep(code, configs, ebno_list, frames, seed, f, all_zeros, noiseless=False):
     """The loop of run_ber and run_compare_schedules.
 
-    Each batch of ``f`` frames is encoded once and sent at every point;
-    each point's LLR block is decoded under every config.  Returns the
-    points' channels, k, and per config and point the sums [bit errors on
-    message positions, frame errors, iterations run, converged frames].
+    Each batch of ``f`` frames is encoded once, and each frame's
+    standard-normal noise is drawn once and scaled for every point.  The
+    P points' LLRs fill one (n, P * F') lane block, point p in columns
+    p * F' to (p + 1) * F', which is decoded once under every config.
+    Returns the points' channels, k, and per config and point the sums
+    [bit errors on message positions, frame errors, iterations run,
+    converged frames].
     """
     if not ebno_list:
         raise ValueError("ebno_list must be non-empty")
@@ -181,28 +202,28 @@ def _sweep(code, configs, ebno_list, frames, seed, f, all_zeros, noiseless=False
     k = gen.k
     if k == 0:  # every error rate would divide by zero bits
         raise ValueError("the code has no message bits (k = 0)")
-    if all_zeros:
-        messages = np.zeros((frames, k), dtype=np.uint8)
-    else:
-        mrng = np.random.default_rng(np.random.SeedSequence((seed, 0x5E)))
-        messages = mrng.integers(0, 2, size=(frames, k), dtype=np.uint8)
 
     channels = [AwgnChannel(float(ebno), k / code.n, seed=seed) for ebno in ebno_list]
-    tally = np.zeros((len(configs), len(channels), 4), dtype=np.int64)
-    for start in range(0, frames, f):
-        sent = messages[start:start + f]
+    points = len(channels)
+    tally = np.zeros((len(configs), points, 4), dtype=np.int64)
+    for start, sent in _message_batches(frames, k, f, seed, all_zeros):
+        fb = len(sent)
         symbols = modulate_bpsk(gen.encode(sent))
+        if not noiseless:
+            noise = np.stack([frame_noise(seed, start + j, code.n) for j in range(fb)])
+        block = np.empty((code.n, points * fb))
         for p, ch in enumerate(channels):
-            lanes = interleave(4.0 * symbols if noiseless else llr_from_channel(
-                ch, np.stack([transmit(ch, x, frame_index=start + j)
-                              for j, x in enumerate(symbols)])))
-            for c, cfg in enumerate(configs):
-                outcome = decode_batch(code, lanes, cfg)
-                errs = np.count_nonzero(outcome.bits[:, gen.message_columns] != sent,
-                                        axis=1)
-                tally[c, p] += (errs.sum(), np.count_nonzero(errs),
-                                outcome.iterations.sum(),
-                                np.count_nonzero(outcome.syndrome_ok))
+            llrs = (4.0 * symbols if noiseless else llr_from_channel(
+                ch, symbols + math.sqrt(ch.noise_variance) * noise))
+            block[:, p * fb:(p + 1) * fb] = llrs.T
+        for c, cfg in enumerate(configs):
+            outcome = decode_batch(code, block, cfg)  # lane p * fb + j is frame j at point p
+            bits = outcome.bits.reshape(points, fb, code.n)[:, :, gen.message_columns]
+            errs = np.count_nonzero(bits != sent, axis=2)
+            iters = outcome.iterations.reshape(points, fb)
+            ok = outcome.syndrome_ok.reshape(points, fb)
+            tally[c] += np.column_stack((errs.sum(axis=1), np.count_nonzero(errs, axis=1),
+                                         iters.sum(axis=1), ok.sum(axis=1)))
     return channels, k, tally.tolist()
 
 
@@ -215,7 +236,9 @@ def run_ber(code: ParityCheckCode, decoder_config: DecoderConfig,
     Errors are counted on message positions only (k bits per frame).  The
     same message draw and the same standard-normal noise stream are reused
     across Eb/N0 points so curves differ only through the noise scale.
-    Each batch of ``f`` frames is encoded once and sent at every point.
+    Each batch of ``f`` frames is encoded once, its noise is drawn once
+    per frame, and all P points of the batch decode as one (n, P * f)
+    lane block; memory does not grow with ``frames``.
     """
     channels, k, tally = _sweep(code, [decoder_config], ebno_list, frames, seed,
                                 f, all_zeros, noiseless)

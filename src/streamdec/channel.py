@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["AwgnChannel", "modulate_bpsk", "transmit", "llr_from_channel"]
+__all__ = ["AwgnChannel", "modulate_bpsk", "frame_noise", "transmit",
+           "llr_from_channel"]
 
 
 @dataclass(frozen=True)
@@ -53,13 +54,23 @@ def modulate_bpsk(bits) -> np.ndarray:
     return 1.0 - 2.0 * b.astype(np.float64)
 
 
+def frame_noise(seed: int, frame_index: int, shape) -> np.ndarray:
+    """Standard-normal noise of frame ``frame_index`` under ``seed``.
+
+    It does not depend on Eb/N0: ``transmit`` scales it by the channel's
+    sigma, so one draw serves every point of a sweep.
+    """
+    if frame_index < 0:
+        raise ValueError("frame_index must be >= 0")
+    rng = np.random.default_rng(np.random.SeedSequence((seed, frame_index)))
+    return rng.standard_normal(shape)
+
+
 def transmit(channel: AwgnChannel, symbols, frame_index: int = 0) -> np.ndarray:
     """Add white Gaussian noise; frame_index selects the noise stream."""
     s = np.asarray(symbols, dtype=np.float64)
-    if frame_index < 0:
-        raise ValueError("frame_index must be >= 0")
-    rng = np.random.default_rng(np.random.SeedSequence((channel.seed, frame_index)))
-    return s + rng.normal(0.0, math.sqrt(channel.noise_variance), size=s.shape)
+    return s + math.sqrt(channel.noise_variance) * frame_noise(
+        channel.seed, frame_index, s.shape)
 
 
 def llr_from_channel(channel: AwgnChannel, received) -> np.ndarray:

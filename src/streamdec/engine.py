@@ -7,13 +7,15 @@ and hands back one result per job, in FIFO order.  Lanes are independent,
 so the results are bit-identical to decoding each job alone, and the
 group pays kernel dispatch and, on the numpy backend, GIL hand-offs once
 instead of once per job.  The residency rule below bounds a group at
-queue_depth jobs, so its memory grows with queue_depth * f lanes.  On
-the numpy backend a 576x288 group peaks at about 29 KB per lane when
-layered and about 110 KB per lane when flooding: the packed block, which
-the decode reads and never writes, plus the decode's clipped copy and
-working arrays.  The numba kernels release the GIL for a whole decode,
-so streams overlap on real cores; numpy releases it only inside each
-array operation, which is why wide groups matter there.
+queue_depth jobs, so at most queue_depth * f lanes.  On the numpy backend
+a 576x288 layered group peaks at about 29 KB per lane: the packed block,
+which the decode reads and never writes, plus the decode's clipped copy
+and working arrays.  Flooding decodes 32 lanes at a time, so its working
+arrays do not grow with the group; a 576x288 flooding decode peaks at
+3.9 MB for 128 lanes and 6.0 MB for 512, beside the packed block.  The
+numba kernels release the GIL for a whole decode, so streams overlap on
+real cores; numpy releases it only inside each array operation, which is
+why wide groups matter there.
 Dispatch picks the least-loaded stream (queued plus in-flight), breaking
 ties round-robin, so equally idle streams are filled in rotation.
 
@@ -60,9 +62,10 @@ class StreamConfig:
     queue_depth + 1 jobs, queued or in flight.
 
     A worker decodes all the jobs queued on its stream as one group of at
-    most queue_depth * f lanes, so queue_depth also sets the decode memory
-    per stream: for a 576x288 code on the numpy backend, about 29 KB per
-    lane layered and 110 KB per lane flooding, packed block included.
+    most queue_depth * f lanes.  On the numpy backend a 576x288 layered
+    group needs about 29 KB per lane, packed block included; flooding
+    runs 32 lanes at a time, and a 128-lane flooding decode peaks at
+    3.9 MB beside its packed block.
     """
 
     w: int = 1

@@ -18,7 +18,7 @@ from streamdec import (
 )
 
 from streamdec import _kernels_np, _kernels_numba
-from streamdec.decoder import LLR_CLAMP
+from streamdec.decoder import LLR_CLAMP, _decode_lanes
 
 from oracles import H_EXAMPLE
 
@@ -109,6 +109,43 @@ def test_batch_matches_scalar(code10, schedule, early):
     strided = decode_batch(code10, frames.T, config)
     assert np.array_equal(strided.bits, batched.bits)
     assert np.array_equal(strided.iterations, batched.iterations)
+
+
+# two full flooding chunks and a remainder
+CHUNKED_F = 2 * _kernels_np._FLOOD_LANES + 6
+
+
+@pytest.mark.parametrize("early", [True, False])
+def test_flooding_chunks_match_per_frame(early):
+    code = random_regular_code(96, 48, 6, seed=0)
+    frames = noisy_frames(code, CHUNKED_F, 2.0, seed=21)
+    config = DecoderConfig(schedule="flooding", max_iterations=10,
+                           early_termination=early, backend="numpy")
+    whole = _decode_lanes(code, interleave(frames), config)
+    if early:  # lanes leave their chunks at different sweeps
+        assert len(set(whole[1].tolist())) > 2
+    for s, frame in enumerate(frames):
+        one = _decode_lanes(code, frame.reshape(-1, 1), config)
+        # bits, iterations, syndrome flag and posterior, bit for bit
+        for got, want in zip(whole, one):
+            assert got[..., s].tobytes() == want[..., 0].tobytes()
+
+
+def test_chunked_flooding_is_one_kernel_call(monkeypatch):
+    # a tracer wraps the module attribute, so the chunks must not go
+    # through it: one decode is one kernel span
+    calls = []
+    kernel = _kernels_np.decode_flooding
+
+    def counting(code, llr, *args):
+        calls.append(llr.shape[1])
+        return kernel(code, llr, *args)
+
+    monkeypatch.setattr(_kernels_np, "decode_flooding", counting)
+    code = random_regular_code(96, 48, 6, seed=0)
+    config = DecoderConfig(schedule="flooding", backend="numpy")
+    decode_batch(code, interleave(noisy_frames(code, CHUNKED_F, 2.0, seed=21)), config)
+    assert calls == [CHUNKED_F]
 
 
 def test_lane_isolation(code10):

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -140,6 +141,24 @@ def test_ber_deterministic_and_chunk_invariant():
     a = run_ber(code, LAYERED10, ebno_list=[2.0], frames=100, seed=9, f=32)
     b = run_ber(code, LAYERED10, ebno_list=[2.0], frames=100, seed=9, f=7)
     assert a == b
+
+
+def test_ber_memory_does_not_grow_with_frames():
+    # a sweep holds one batch at a time: 64 * f frames peak where 4 * f do,
+    # while holding every message alone would add 60 * f * k = 138 KB
+    code = random_regular_code(576, 288, 6, seed=0)
+    cfg = DecoderConfig(schedule="layered", max_iterations=1, backend="numpy")
+    f = 8
+    run_ber(code, cfg, [10.0], frames=f, f=f)  # builds the systematic form
+    peaks = []
+    for frames in (4 * f, 64 * f):
+        tracemalloc.start()
+        try:
+            run_ber(code, cfg, [10.0], frames=frames, f=f)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 16_000, peaks
 
 
 def test_ber_all_zeros_mode():

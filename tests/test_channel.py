@@ -1,5 +1,7 @@
 """Channel model: modulation, noise determinism, LLR scaling."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,19 @@ def test_transmit_order_independent():
     second = [transmit(ch, s, frame_index=i) for i in (2, 0, 1)]
     assert np.array_equal(first[0], second[1])
     assert np.array_equal(first[2], second[0])
+
+
+def test_transmit_equals_one_normal_draw_per_frame():
+    # the rule before frame_noise existed: s + normal(0, sigma) from the
+    # frame's own generator; sweeps rely on it to scale one draw per point
+    s = modulate_bpsk(np.random.default_rng(3).integers(0, 2, 200))
+    for seed in (0, 7, 12345):
+        for ebno, rate in ((-1.0, 0.5), (1.5, 0.5), (3.0, 0.75), (6.0, 0.49)):
+            ch = AwgnChannel(ebno, rate, seed=seed)
+            for i in (0, 1, 17, 1000):
+                rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
+                old = s + rng.normal(0.0, math.sqrt(ch.noise_variance), size=s.shape)
+                assert transmit(ch, s, frame_index=i).tobytes() == old.tobytes()
 
 
 def test_transmit_rejects_negative_index():

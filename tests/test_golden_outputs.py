@@ -56,6 +56,16 @@ CSV = {
         "576,288,numpy,30,2,90,15.011111,10.911111,73,76\n"
         "576,288,numpy,30,3,90,5.322222,3.100000,90,90\n"
     ),
+    # k = 49 and f = 9: f * k = 441 is not a multiple of 4, so drawing each
+    # batch's messages alone would change them; 103 frames end on a
+    # 4-frame batch, and 4 points x 9 frames make a 36-lane flooding block
+    "ber --gen 97,48,6,0 --ebno 1,2,3,4 --frames 103 --batch 9 --normalization 0.75 --schedule flooding": (
+        "n,m,k,schedule,backend,iterations,ebno_db,frames,bit_errors,frame_errors,ber,fer\n"
+        "97,48,49,flooding,numpy,10,1,103,343,61,0.06796116505,0.5922330097\n"
+        "97,48,49,flooding,numpy,10,2,103,129,29,0.02555973846,0.2815533981\n"
+        "97,48,49,flooding,numpy,10,3,103,29,4,0.005745987715,0.03883495146\n"
+        "97,48,49,flooding,numpy,10,4,103,3,1,0.0005944125223,0.009708737864\n"
+    ),
 }
 
 
