@@ -28,11 +28,16 @@ step pads rows to ``max_row_degree`` with ``+inf``, which never wins a
 minimum and is never negative, the syndrome pads with 0, and the
 flooding variable phase points the padding slots of
 ``code.col_pad_pos`` at a ``-0.0`` row past the last message, as
-``x + (-0.0) == x`` for every x, signed zeros included.  Both schedules
-sweep in lockstep under ``_Lanes``: with early termination a converged
-lane leaves the working arrays, so its messages and posterior are never
-written again, and its bits and syndrome flag are read from that final
-posterior.
+``x + (-0.0) == x`` for every x, signed zeros included.  Every row
+gather is ``take(..., axis=0)`` over the plans' ``np.intp`` indices,
+numpy's fast path for it; the one scatter, the layered posterior
+update, is a fancy assignment.  Both schedules sweep in lockstep under
+``_Lanes``: with early termination a converged lane leaves the working
+arrays, so its messages and posterior are never written again, and its
+bits and syndrome flag are read from that final posterior.  The lanes
+that stay are kept with ``take(..., axis=1)``, which returns C-ordered
+arrays; ``a[:, keep]`` returns Fortran-ordered ones, on which every
+later row gather and slab step runs several times slower.
 
 The layered kernel keeps its check messages as one (edges, F) array per
 level, in ``plan.edge`` order, so a level step reads and writes them
@@ -65,7 +70,7 @@ def _slot_block(code, plan, vals, pad):
 
 def _syndrome_ok_lanes(code, bits):
     """Zero-syndrome flag per lane for hard bits of shape (n, F)."""
-    block = _slot_block(code, code.row_plan, bits[code.row_plan.var], 0)
+    block = _slot_block(code, code.row_plan, bits.take(code.row_plan.var, axis=0), 0)
     return ~np.bitwise_xor.reduce(block, axis=0).any(axis=0)
 
 
@@ -117,9 +122,11 @@ class _Lanes:
 
     Iterating yields the working arrays, posterior first, once per sweep,
     and the sweep updates them in place.  They hold the columns of the
-    ``live`` lanes only: after each sweep the driver writes the posterior
-    back, and with early termination it drops each lane whose hard
-    decisions satisfy every check from every working array.  A lane's
+    ``live`` lanes only: with early termination the driver drops each
+    lane whose hard decisions satisfy every check from every working
+    array, writing its posterior back to ``post`` as it leaves, and the
+    lanes still live are written back once, after the last sweep.  Until
+    the first drop the working posterior is ``post`` itself.  A lane's
     bits and syndrome flag are those of its final posterior, so
     ``result`` derives both once, at the end.
     """
@@ -133,17 +140,23 @@ class _Lanes:
     def __iter__(self):
         for it in range(1, self.max_iters + 1):
             yield self.work
-            post = self.work[0]
-            if post is not self.post:  # a copy since a lane converged
-                self.post[:, self.live] = post
             if self.early_term:
-                done = _syndrome_ok_lanes(self.code, (post < 0.0).view(np.uint8))
+                done = _syndrome_ok_lanes(self.code, (self.work[0] < 0.0).view(np.uint8))
                 self.iters[self.live[done]] = it
                 if done.all():
-                    return
+                    break
                 if done.any():
-                    self.live = self.live[~done]
-                    self.work = tuple(a[:, ~done] for a in self.work)
+                    self._write_back(done)
+                    keep = np.flatnonzero(~done)
+                    self.live = self.live[keep]
+                    self.work = tuple(a.take(keep, axis=1) for a in self.work)
+        self._write_back(slice(None))
+
+    def _write_back(self, lanes):
+        """Copy the posterior of the given working lanes to ``post``."""
+        work = self.work[0]
+        if work is not self.post:  # a copy since a lane converged
+            self.post[:, self.live[lanes]] = work[:, lanes]
 
     def result(self):
         """(bits, iterations, syndrome_ok, posterior) of every lane."""
@@ -170,14 +183,14 @@ def _flood_chunk(code, llr, max_iters, early_term, norm, clamp):
     plan = code.row_plan
     # the first sweep writes every lane's posterior before anything reads it
     lanes = _Lanes(code, max_iters, early_term,
-                   np.empty_like(intrinsic), intrinsic, intrinsic[plan.var, :])
+                   np.empty_like(intrinsic), intrinsic, intrinsic.take(plan.var, axis=0))
     for post, intrinsic, v2c in lanes:  # messages in plan.edge order
         c2v = _check_rows(code, plan, v2c, norm, clamp)
         # variable totals accumulate in column-adjacency position order
         padded = np.concatenate((c2v, np.full((1, c2v.shape[1]), -0.0)))
         total = intrinsic.copy()
         for t in range(code.max_col_degree):
-            total += padded[code.col_pad_pos[:, t]]
+            total += padded.take(code.col_pad_pos[:, t], axis=0)
         np.clip(total, -clamp, clamp, out=post)
         np.take(total, plan.var, axis=0, out=v2c)  # no (edges, F) temporary
         v2c -= c2v
@@ -190,7 +203,8 @@ def _layered_level(code, plan, post, msg, norm, clamp):
 
     msg holds the level's check messages, (edges, F) in ``plan.edge`` order.
     """
-    ext = post[plan.var] - msg
+    ext = post.take(plan.var, axis=0)
+    ext -= msg
     new = _check_rows(code, plan, ext, norm, clamp)
     ext += new
     np.clip(ext, -clamp, clamp, out=ext)

@@ -8,7 +8,9 @@ unique flat id and back.  Kernels consume the flat CSR-style arrays
 numpy paths also use the row levels, the check-step plans (``RowPlan``),
 which list their edges slot-major, and the padded column table
 ``col_pad_pos``, which points at message positions in ``row_plan`` order
-(padding slots hold ``edge_count``).
+(padding slots hold ``edge_count``).  Their index arrays are ``np.intp``,
+numpy's native index type, so the kernels' gathers and scatters use them
+without a cast; the CSR arrays stay int32.
 """
 
 from __future__ import annotations
@@ -136,13 +138,13 @@ class ParityCheckCode:
 
         # check-step plans, slot-major: all rows for flooding, one per level
         # for layered
-        slot = np.arange(self.max_row_degree, dtype=np.int32)[:, None]
+        slot = np.arange(self.max_row_degree, dtype=np.intp)[:, None]
         real = slot < degs
 
         def plan(rows):
             d, r = degs[rows], real[:, rows]
             edge = (self.row_ptr[:-1][rows] + slot)[r]
-            return RowPlan(edge, self.edge_var[edge],
+            return RowPlan(edge, self.edge_var[edge].astype(np.intp),
                            r if (d < self.max_row_degree).any() else None,
                            np.flatnonzero(d == 1) if (d == 1).any() else None)
 
@@ -157,7 +159,7 @@ class ParityCheckCode:
         col_of = np.repeat(np.arange(self.n), self.col_degrees)
         pos = np.arange(self.edge_count) - self.col_ptr[col_of]
         self.col_pad_pos = np.full((self.n, self.max_col_degree), self.edge_count,
-                                   dtype=np.int32)
+                                   dtype=np.intp)
         self.col_pad_pos[col_of, pos] = msg_pos[self.col_edge]
 
         for a in (self.row_ptr, self.edge_var, self.col_ptr, self.col_edge,
@@ -371,11 +373,12 @@ class GeneratorForm:
             raise ValueError(f"message must have shape (..., {self.k})")
         if not np.isin(u, (0, 1)).all():
             raise ValueError("message bits must be 0 or 1")
-        u = u.astype(np.uint8)
         cw = np.zeros(u.shape[:-1] + self.column_permutation.shape, dtype=np.uint8)
         cw[..., self.message_columns] = u
-        # uint8 sums wrap modulo 256, which keeps their parity
-        cw[..., self.parity_columns] = (u @ self.parity_rows.T) % 2
+        # a float32 product takes BLAS, and it is exact: every partial sum
+        # is an integer of at most k < 2**24
+        prod = u.astype(np.float32) @ self.parity_rows.T.astype(np.float32)
+        cw[..., self.parity_columns] = prod.astype(np.int32) & 1
         return cw
 
 

@@ -10,9 +10,11 @@ instead of once per job.  The residency rule below bounds a group at
 queue_depth jobs, so at most queue_depth * f lanes.  On the numpy backend
 a 576x288 layered group peaks at about 29 KB per lane: the packed block,
 which the decode reads and never writes, plus the decode's clipped copy
-and working arrays.  Flooding decodes 32 lanes at a time, so its working
-arrays do not grow with the group; a 576x288 flooding decode peaks at
-3.9 MB for 128 lanes and 6.0 MB for 512, beside the packed block.  The
+and working arrays; with early termination about 36 KB, as a lane's
+departure copies the working arrays while the old ones are held.
+Flooding decodes 32 lanes at a time, so its working arrays do not grow
+with the group; a 576x288 flooding decode peaks at 3.9 MB for 128 lanes
+and 6.0 MB for 512, beside the packed block.  The
 numba kernels release the GIL for a whole decode, so streams overlap on
 real cores; numpy releases it only inside each array operation, which is
 why wide groups matter there.
@@ -63,9 +65,9 @@ class StreamConfig:
 
     A worker decodes all the jobs queued on its stream as one group of at
     most queue_depth * f lanes.  On the numpy backend a 576x288 layered
-    group needs about 29 KB per lane, packed block included; flooding
-    runs 32 lanes at a time, and a 128-lane flooding decode peaks at
-    3.9 MB beside its packed block.
+    group needs about 29 KB per lane, packed block included, and about
+    36 KB with early termination; flooding runs 32 lanes at a time, and
+    a 128-lane flooding decode peaks at 3.9 MB beside its packed block.
     """
 
     w: int = 1

@@ -131,6 +131,47 @@ def test_flooding_chunks_match_per_frame(early):
             assert got[..., s].tobytes() == want[..., 0].tobytes()
 
 
+def test_wide_layered_block_matches_per_frame():
+    # a 576x288 block shaped like a BER sweep's: 32 frames from each of
+    # 1.5, 3 and 4 dB in one 96-lane layered decode, lanes leaving the
+    # working arrays at many sweeps, each written back as it leaves
+    code = random_regular_code(576, 288, 6, seed=1)
+    frames = np.concatenate([noisy_frames(code, 32, ebno, seed=40)
+                             for ebno in (1.5, 3.0, 4.0)])
+    config = DecoderConfig(schedule="layered", max_iterations=20,
+                           early_termination=True, normalization=0.75,
+                           backend="numpy")
+    whole = _decode_lanes(code, interleave(frames), config)
+    assert len(set(whole[1][whole[2]].tolist())) >= 5  # sweeps lanes left at
+    assert not whole[2].all()  # some lanes run every sweep
+    for s, frame in enumerate(frames):
+        one = _decode_lanes(code, frame.reshape(-1, 1), config)
+        # bits, iterations, syndrome flag and posterior, bit for bit
+        for got, want in zip(whole, one):
+            assert got[..., s].tobytes() == want[..., 0].tobytes()
+
+
+def test_lanes_write_back_on_drop_and_stay_c_ordered(code10):
+    # lane s turns all-positive, which satisfies every check, in sweep
+    # s + 1; lane 4 never does.  Row 1 of the posterior records the sweep
+    # that last wrote it, so each lane must be written back as it leaves.
+    post = np.ones((code10.n, 5))
+    post[0] = -1.0  # one 1 bit: a nonzero syndrome
+    lanes = _kernels_np._Lanes(code10, 4, True, post, np.zeros((3, 5)))
+    for it, (work, extra) in enumerate(lanes, start=1):
+        # a[:, keep] would leave Fortran-ordered arrays after a drop
+        assert work.flags.c_contiguous and extra.flags.c_contiguous
+        work[1] = it
+        work[0, lanes.live == it - 1] = 1.0
+    bits, iters, ok, final = lanes.result()
+    assert final is post
+    assert iters.tolist() == [1, 2, 3, 4, 4]
+    assert ok.tolist() == [True, True, True, True, False]
+    assert post[1].tolist() == [1, 2, 3, 4, 4]
+    assert post[0].tolist() == [1, 1, 1, 1, -1]
+    assert bits[0].tolist() == [0, 0, 0, 0, 1]
+
+
 def test_chunked_flooding_is_one_kernel_call(monkeypatch):
     # a tracer wraps the module attribute, so the chunks must not go
     # through it: one decode is one kernel span

@@ -114,6 +114,11 @@ def test_check_plans_cover_edges(code10):
                 assert all(code.row_degrees[rows[i]] == 1 for i in plan.deg1)
             else:
                 assert plan.deg1 is None
+            # index arrays are numpy's native index type, so the kernels'
+            # take and fancy indexing never cast them
+            for a in (plan.edge, plan.var, plan.deg1):
+                assert a is None or a.dtype == np.intp
+            assert plan.real is None or plan.real.dtype == bool
             for a in plan:
                 assert a is None or not a.flags.writeable
             if plan is not code.row_plan:
@@ -132,7 +137,7 @@ def test_column_table_pads_with_sentinel(code10):
     for code in codes:
         table = code.col_pad_pos
         assert table.shape == (code.n, code.max_col_degree)
-        assert not table.flags.writeable
+        assert table.dtype == np.intp and not table.flags.writeable
         for i in range(code.n):
             d = int(code.col_degrees[i])
             lo, hi = int(code.col_ptr[i]), int(code.col_ptr[i + 1])
@@ -226,6 +231,30 @@ def test_systematic_form_generated_codes():
         for _ in range(5):
             u = rng.integers(0, 2, size=gen.k).astype(np.uint8)
             assert not syndrome(code, gen.encode(u)).any()
+
+
+def test_block_encode_matches_integer_product():
+    # the encoder's float32 product against an int64 one, on the 576x288
+    # code and on a rank-deficient code with odd k; all-ones messages give
+    # the largest partial sums
+    rng = np.random.default_rng(23)
+    h = rng.integers(0, 2, size=(21, 41), dtype=np.uint8)
+    h[20] = h[0] ^ h[1]  # a dependent row
+    deficient = from_dense(h)
+    for code in (random_regular_code(576, 288, 6, seed=1), deficient):
+        gen = systematic_form(code)
+        if code is deficient:
+            assert gf2_rank(h) < code.m and gen.k % 2 == 1
+        u = rng.integers(0, 2, size=(40, gen.k), dtype=np.uint8)
+        u[0] = 1
+        want = np.zeros((len(u), code.n), dtype=np.uint8)
+        want[:, gen.message_columns] = u
+        want[:, gen.parity_columns] = (u.astype(np.int64)
+                                       @ gen.parity_rows.T.astype(np.int64)) % 2
+        words = gen.encode(u)
+        assert words.dtype == np.uint8 and np.array_equal(words, want)
+        for w in words:
+            assert not syndrome(code, w).any()
 
 
 def test_systematic_form_computed_once_per_code():
