@@ -178,8 +178,14 @@ def decode_flooding(code, llr, max_iters, early_term, norm, clamp):
     return tuple(np.concatenate(parts, axis=-1) for parts in zip(*outs))
 
 
+def _clipped(llr, clamp):
+    """llr clipped to +-clamp in a new C-ordered array, whatever llr's
+    layout: every sweep's gathers run on what this returns."""
+    return np.clip(llr, -clamp, clamp, out=np.empty(llr.shape))
+
+
 def _flood_chunk(code, llr, max_iters, early_term, norm, clamp):
-    intrinsic = np.clip(llr, -clamp, clamp)
+    intrinsic = _clipped(llr, clamp)
     plan = code.row_plan
     # the first sweep writes every lane's posterior before anything reads it
     lanes = _Lanes(code, max_iters, early_term,
@@ -219,7 +225,7 @@ def decode_layered(code, llr, max_iters, early_term, norm, clamp):
     level.  Rows within a level share no variable, so the result equals
     visiting the rows one by one in ascending order.
     """
-    post = np.clip(llr, -clamp, clamp)
+    post = _clipped(llr, clamp)
     lanes = _Lanes(code, max_iters, early_term, post,
                    *(np.zeros((len(p.edge), llr.shape[1])) for p in code.level_plans))
     for post, *msgs in lanes:

@@ -371,7 +371,7 @@ class GeneratorForm:
         u = np.asarray(message)
         if u.ndim == 0 or u.shape[-1] != self.k:
             raise ValueError(f"message must have shape (..., {self.k})")
-        if not np.isin(u, (0, 1)).all():
+        if not ((u == 0) | (u == 1)).all():
             raise ValueError("message bits must be 0 or 1")
         cw = np.zeros(u.shape[:-1] + self.column_permutation.shape, dtype=np.uint8)
         cw[..., self.message_columns] = u

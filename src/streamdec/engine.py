@@ -14,10 +14,7 @@ and working arrays; with early termination about 36 KB, as a lane's
 departure copies the working arrays while the old ones are held.
 Flooding decodes 32 lanes at a time, so its working arrays do not grow
 with the group; a 576x288 flooding decode peaks at 3.9 MB for 128 lanes
-and 6.0 MB for 512, beside the packed block.  The
-numba kernels release the GIL for a whole decode, so streams overlap on
-real cores; numpy releases it only inside each array operation, which is
-why wide groups matter there.
+and 6.0 MB for 512, beside the packed block.
 Dispatch picks the least-loaded stream (queued plus in-flight), breaking
 ties round-robin, so equally idle streams are filled in rotation.
 
@@ -30,10 +27,31 @@ fewer than queue_depth, so it holds at most queue_depth + 1 jobs and the
 engine at most w * queue_depth + w.  A job id is live until its result
 is collected or the job is cancelled or fails; a live id is refused as
 a duplicate, and a retired one may be reused.
+
+Where streams decode.  On the numpy backend, when this process may run on
+more than one CPU (``os.sched_getaffinity``), the engine forks one child
+process for each stream after stream 0, before any worker thread starts.
+A numpy decode holds the GIL between its many small array calls, so two
+decoding threads hand it across cores on every call, and together they
+decode fewer frames than one; a child has an interpreter of its own.  The
+child holds the code and decoder config as they were at the fork.  The
+stream's worker thread keeps everything above: the lock, the residency
+rule, FIFO order, the job hook, grouping, failure accounting and the
+timers.  Only its decode becomes a send of the packed block over a Pipe
+and a blocking recv, which releases the GIL, so a child holds up to
+queue_depth * f lanes, as an in-process stream does.  Stream 0 decodes in
+this process: one decoding stream alone does not contend for the GIL, and
+code that wraps the kernels here, such as a tracer, still sees stream 0's
+decodes (and only those).  With one usable CPU, or on numba, whose
+kernels release the GIL for a whole decode, every stream is a thread, as
+a child would only add its start, copying and hand-off costs.  A child
+that dies fails the group it was decoding and every later group of its
+stream; shutdown() joins the workers, then stops and reaps the children.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from collections import deque
@@ -68,6 +86,9 @@ class StreamConfig:
     group needs about 29 KB per lane, packed block included, and about
     36 KB with early termination; flooding runs 32 lanes at a time, and
     a 128-lane flooding decode peaks at 3.9 MB beside its packed block.
+    On the numpy backend with more than one usable CPU, each stream after
+    stream 0 decodes in a forked child process, which then holds those
+    lanes; see the module docstring.
     """
 
     w: int = 1
@@ -116,7 +137,7 @@ class ShutdownSummary:
 
 
 class _Stream:
-    __slots__ = ("index", "jobs", "in_flight", "ready", "thread")
+    __slots__ = ("index", "jobs", "in_flight", "ready", "thread", "child", "conn")
 
     def __init__(self, index, lock):
         self.index = index
@@ -124,6 +145,48 @@ class _Stream:
         self.in_flight = 0  # jobs in the group being decoded
         self.ready = threading.Condition(lock)  # jobs queued or engine stopping
         self.thread = None
+        self.child = None  # the process that decodes this stream's groups, if any
+        self.conn = None  # the engine's end of the Pipe to it
+
+
+def _uses_children(decoder_config) -> bool:
+    """Whether streams after stream 0 decode in forked children: on the
+    numpy backend, when this process may run on more than one CPU."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return decoder_config.backend == "numpy" and cpus > 1
+
+
+def _child_loop(conn, code, decoder_config):
+    """A child stream: reply to each (n, sum F) float64 block received as
+    raw bytes with (bits, iterations, syndrome_ok), or with the exception
+    its decode raised, until an empty message or the engine's end closes.
+
+    It leaves by os._exit, so it neither flushes the std streams it copied
+    at the fork nor runs the exit handlers of the process it copied."""
+    while True:
+        try:
+            block = conn.recv_bytes()
+        except EOFError:
+            block = b""
+        if not block:
+            os._exit(0)
+        try:
+            lanes = np.frombuffer(block).reshape(code.n, -1)
+            reply = _decode_lanes(code, lanes, decoder_config)[:3]
+        except Exception as exc:  # fails this group alone
+            reply = exc
+        conn.send(reply)
+
+
+def _decode_in_child(conn, lanes):
+    """Send one block to a child stream and wait for its decode; recv
+    releases the GIL.  A dead child raises here (BrokenPipeError,
+    EOFError or ConnectionResetError), as does its decode's exception."""
+    conn.send_bytes(lanes)
+    reply = conn.recv()
+    if isinstance(reply, Exception):
+        raise reply
+    return reply
 
 
 class Engine:
@@ -150,10 +213,47 @@ class Engine:
         self._summary: ShutdownSummary | None = None
         self._timers = {"interleave": 0.0, "decode": 0.0, "deinterleave": 0.0,
                         "batches": 0}
+        if _uses_children(decoder_config):
+            self._fork_children()  # before any worker thread exists
         for st in self._streams:
             st.thread = threading.Thread(target=self._worker, args=(st,),
                                          name=f"streamdec-w{st.index}", daemon=True)
             st.thread.start()
+
+    def _fork_children(self):
+        """Fork one child for each stream after stream 0, each holding the
+        code and decoder config as they are now."""
+        import multiprocessing  # here, so a process that never forks skips its ~1 MB
+
+        # fork, not spawn: a spawned child re-imports numpy and streamdec,
+        # 280-370 ms each.  Threads other than this engine's may run at the
+        # fork; the child only receives, decodes, sends and _exits, so it
+        # takes none of the locks they could have held
+        ctx = multiprocessing.get_context("fork")
+        try:
+            for st in self._streams[1:]:
+                conn, child_end = ctx.Pipe()
+                child = ctx.Process(target=_child_loop, name=f"streamdec-c{st.index}",
+                                    args=(child_end, self.code, self.decoder_config),
+                                    daemon=True)
+                child.start()
+                child_end.close()
+                st.child, st.conn = child, conn
+        except BaseException:  # a failed fork stops the children already started
+            self._stop_children()
+            raise
+
+    def _stop_children(self):
+        """Send each child an empty message, close its Pipe and reap it."""
+        for st in self._streams:
+            if st.conn is None:
+                continue
+            try:
+                st.conn.send_bytes(b"")
+            except OSError:  # the child is gone; the close below is enough
+                pass
+            st.conn.close()
+            st.child.join()
 
     # -- job helpers ---------------------------------------------------------
 
@@ -246,7 +346,7 @@ class Engine:
         outcomes = []
         if ready:
             try:
-                outcomes, seconds = self._decode_group(ready)
+                outcomes, seconds = self._decode_group(st, ready)
             except Exception as exc:  # decode bugs must surface at shutdown
                 failures.extend((job_id, exc) for job_id, _ in ready)
         with self._lock:
@@ -264,8 +364,8 @@ class Engine:
                 self._done.notify_all()
         return True
 
-    def _decode_group(self, group):
-        """One lockstep decode of the group's frames.
+    def _decode_group(self, st, group):
+        """One lockstep decode of the group's frames, in st's child if it has one.
 
         Returns [(job_id, BatchOutcome)] in group order, each outcome made
         of row slices of the group's arrays, and the seconds spent packing,
@@ -276,7 +376,10 @@ class Engine:
         lanes = np.empty((self.code.n, f * len(group)))
         np.concatenate([frames.T for _, frames in group], axis=1, out=lanes)
         t1 = time.perf_counter()
-        bits, iters, ok, _ = _decode_lanes(self.code, lanes, self.decoder_config)
+        if st.conn is None:
+            bits, iters, ok, _ = _decode_lanes(self.code, lanes, self.decoder_config)
+        else:
+            bits, iters, ok = _decode_in_child(st.conn, lanes)
         t2 = time.perf_counter()
         rows = bits.T
         outcomes = [(job_id, BatchOutcome(rows[a:a + f], iters[a:a + f], ok[a:a + f]))
@@ -326,6 +429,7 @@ class Engine:
             self._space.notify_all()
         for st in self._streams:
             st.thread.join()
+        self._stop_children()
         with self._lock:
             failed_ids = tuple(job_id for job_id, _ in self._failures)
             self._summary = ShutdownSummary(

@@ -111,6 +111,21 @@ def test_batch_matches_scalar(code10, schedule, early):
     assert np.array_equal(strided.iterations, batched.iterations)
 
 
+@pytest.mark.parametrize("schedule", SCHEDULES)
+@pytest.mark.parametrize("early", [True, False])
+def test_fortran_ordered_block_decodes_on_c_ordered_arrays(code10, schedule, early):
+    # the kernels' working arrays take the clipped input's layout, so a
+    # transposed block must come back as a C-ordered posterior, unchanged
+    frames = noisy_frames(code10, 8, 3.0, seed=5)
+    config = DecoderConfig(schedule=schedule, max_iterations=12,
+                           early_termination=early, backend="numpy")
+    want = _decode_lanes(code10, interleave(frames), config)
+    got = _decode_lanes(code10, frames.T, config)
+    assert got[3].flags.c_contiguous
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+
+
 # two full flooding chunks and a remainder
 CHUNKED_F = 2 * _kernels_np._FLOOD_LANES + 6
 

@@ -208,9 +208,13 @@ def test_encode_zero_message_is_zero(code10):
     assert not gen.encode(np.zeros(gen.k, dtype=np.uint8)).any()
     assert not gen.encode(np.zeros((3, gen.k), dtype=np.uint8)).any()
     for bad in (np.zeros(gen.k + 1), np.zeros((3, gen.k + 1)), np.uint8(0),
-                np.full((2, gen.k), 2)):
+                np.full((2, gen.k), 2), np.full((2, gen.k), 0.5)):
         with pytest.raises(ValueError):
             gen.encode(bad)
+    # 0/1 in any dtype is a message: bool and float blocks encode as uint8
+    ones = np.ones((2, gen.k), dtype=np.uint8)
+    for same in (ones.astype(bool), ones.astype(np.float64)):
+        assert np.array_equal(gen.encode(same), gen.encode(ones))
 
 
 def test_rank_deficient_triangle():

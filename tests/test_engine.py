@@ -2,6 +2,10 @@
 
 import gc
 import itertools
+import multiprocessing
+import os
+import resource
+import signal
 import sys
 import threading
 import time
@@ -13,12 +17,14 @@ import pytest
 import streamdec.engine as engine_mod
 from streamdec import (
     AwgnChannel,
+    backend,
     DecoderConfig,
     decode_batch,
     from_dense,
     interleave,
     llr_from_channel,
     modulate_bpsk,
+    random_regular_code,
     transmit,
 )
 from streamdec.engine import (
@@ -407,8 +413,8 @@ def stalled_group(monkeypatch, f, bad_ids=(), fail_above=None):
     return eng, frames, widths
 
 
-def assert_standalone(outcome, frames):
-    want = decode_batch(CODE, interleave(frames), DCFG)
+def assert_standalone(outcome, frames, code=CODE, cfg=DCFG):
+    want = decode_batch(code, interleave(frames), cfg)
     assert np.array_equal(outcome.bits, want.bits)
     assert np.array_equal(outcome.iterations, want.iterations)
     assert np.array_equal(outcome.syndrome_ok, want.syndrome_ok)
@@ -665,17 +671,163 @@ def test_cpu_usage_smoke_monotone():
     # busy CPU time over a fixed workload should not shrink when streams grow
     frames = job_frames(30, 4)
 
+    def cpu_seconds():
+        # streams after the first may decode in child processes, which
+        # RUSAGE_CHILDREN counts once shutdown() has reaped them
+        kids = resource.getrusage(resource.RUSAGE_CHILDREN)
+        return time.process_time() + kids.ru_utime + kids.ru_stime
+
     def run(w):
         eng = engine_start(CODE, DecoderConfig(schedule="layered", max_iterations=30),
                            StreamConfig(w=w, f=4, queue_depth=4))
-        t0 = time.process_time()
+        t0 = cpu_seconds()
         for i, fr in enumerate(frames):
             assert eng.submit(DecodeJob(job_id=i, frames=fr)).accepted
         eng.shutdown(drain=True)
         list(eng.collect())
-        return time.process_time() - t0
+        return cpu_seconds() - t0
 
     run(1)  # warm caches
     one = run(1)
     three = run(3)
     assert three >= 0.5 * one
+
+
+# -- child streams: on numpy with more than one usable CPU, every stream
+# after stream 0 decodes in a forked child --------------------------------
+
+NP_CODE = random_regular_code(96, 48, 6, seed=3)
+
+
+def np_config(schedule="layered", early=True):
+    return DecoderConfig(schedule=schedule, max_iterations=10,
+                         early_termination=early, backend="numpy")
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+def np_jobs(count, f, seed):
+    """Jobs of 2 dB frames: some converge early, some never do."""
+    ch = AwgnChannel(2.0, 0.5, seed=seed)
+    sym = modulate_bpsk(np.zeros(NP_CODE.n, dtype=np.uint8))
+    return [np.array([llr_from_channel(ch, transmit(ch, sym, j * f + s))
+                      for s in range(f)]) for j in range(count)]
+
+
+@pytest.mark.parametrize("schedule", ["flooding", "layered"])
+@pytest.mark.parametrize("early", [True, False])
+@pytest.mark.parametrize("w", [2, 3])
+def test_child_streams_match_decode_batch(two_cpus, schedule, early, w):
+    cfg = np_config(schedule, early)
+    jobs = np_jobs(24, 4, seed=w)
+    eng = engine_start(NP_CODE, cfg, StreamConfig(w=w, f=4, queue_depth=2))
+    assert len(multiprocessing.active_children()) == w - 1
+    streams = {eng.submit(DecodeJob(job_id=i, frames=fr)).stream
+               for i, fr in enumerate(jobs)}
+    assert streams == set(range(w))
+    assert eng.shutdown(drain=True) == ShutdownSummary(24, 24, 0, ())
+    got = dict(eng.collect())
+    assert sorted(got) == list(range(24))
+    for jid, outcome in got.items():
+        assert_standalone(outcome, jobs[jid], NP_CODE, cfg)
+    assert not multiprocessing.active_children()
+
+
+def test_no_child_on_one_cpu_at_w1_or_on_numba(monkeypatch):
+    def started(cfg, w):
+        eng = engine_start(NP_CODE, cfg, StreamConfig(w=w, f=2))
+        kids = multiprocessing.active_children()
+        eng.shutdown()
+        return kids
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert started(np_config(), 3) == []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert started(np_config(), 1) == []
+    monkeypatch.setattr(backend, "HAVE_NUMBA", True)  # no decode runs
+    assert started(DecoderConfig(schedule="layered", backend="numba"), 3) == []
+    assert len(started(np_config(), 3)) == 2
+
+
+def bounded_shutdown(eng, timeout=10.0):
+    """shutdown() in a thread; (summary or None, exception or None)."""
+    out = {}
+
+    def run():
+        try:
+            out["summary"] = eng.shutdown(drain=True)
+        except Exception as exc:
+            out["error"] = exc
+
+    t = threading.Thread(target=run, daemon=True)
+    t.start()
+    t.join(timeout)
+    assert not t.is_alive(), "shutdown() hung"
+    return out.get("summary"), out.get("error")
+
+
+SLOW = 7.0  # a job of all-SLOW LLRs stalls, or raises in, the spy decode
+
+
+def test_killed_child_fails_its_groups_and_is_reaped(two_cpus, monkeypatch):
+    real = engine_mod._decode_lanes
+
+    def spy(code, lanes, *args):  # inherited by the child at the fork
+        if (lanes == SLOW).all():
+            time.sleep(60)
+        return real(code, lanes, *args)
+
+    monkeypatch.setattr(engine_mod, "_decode_lanes", spy)
+    eng = engine_start(NP_CODE, np_config(), StreamConfig(w=2, f=2, queue_depth=2))
+    st = eng._streams[1]
+    jobs = np_jobs(10, 2, seed=9)
+    assert eng.submit(DecodeJob(job_id=0, frames=jobs[0])).stream == 0
+    assert eng.submit(DecodeJob(job_id=1, frames=np.full((2, NP_CODE.n), SLOW))).stream == 1
+    wait_for(lambda: st.in_flight == 1)
+    os.kill(st.child.pid, signal.SIGKILL)
+    assert st.conn.poll(10)  # EOF: the child is dead, and not yet reaped
+    streams = {i: eng.submit(DecodeJob(job_id=i, frames=jobs[i])).stream
+               for i in range(2, 10)}
+    assert 1 in streams.values()
+    summary, error = bounded_shutdown(eng)
+    assert summary is None and isinstance(error, RuntimeError)
+    failed = {1} | {i for i, s in streams.items() if s == 1}
+    summary = eng.shutdown()
+    assert set(summary.failed_job_ids) == failed
+    assert summary.accepted == 10 == summary.completed + summary.failed
+    got = dict(eng.collect())
+    assert sorted(got) == sorted(set(range(10)) - failed)
+    for jid, outcome in got.items():
+        assert_standalone(outcome, jobs[jid], NP_CODE, np_config())
+    with pytest.raises(ChildProcessError):  # shutdown() has reaped it
+        os.waitpid(st.child.pid, os.WNOHANG)
+    assert st.child.exitcode == -signal.SIGKILL
+
+
+def test_child_decode_error_fails_only_its_group(two_cpus, monkeypatch):
+    real = engine_mod._decode_lanes
+
+    def spy(code, lanes, *args):
+        if (lanes == SLOW).all():
+            raise ValueError("injected child failure")
+        return real(code, lanes, *args)
+
+    monkeypatch.setattr(engine_mod, "_decode_lanes", spy)
+    eng = engine_start(NP_CODE, np_config(), StreamConfig(w=2, f=2, queue_depth=2))
+    jobs = np_jobs(10, 2, seed=10)
+    assert eng.submit(DecodeJob(job_id=0, frames=jobs[0])).stream == 0
+    assert eng.submit(DecodeJob(job_id=1, frames=np.full((2, NP_CODE.n), SLOW))).stream == 1
+    wait_for(lambda: eng._failures)  # job 1 failed alone, in a group of its own
+    streams = {i: eng.submit(DecodeJob(job_id=i, frames=jobs[i])).stream
+               for i in range(2, 10)}
+    assert 1 in streams.values()
+    with pytest.raises(RuntimeError, match="worker failed on job 1.*injected child"):
+        eng.shutdown(drain=True)
+    assert eng.shutdown() == ShutdownSummary(10, 9, 0, (), failed=1, failed_job_ids=(1,))
+    got = dict(eng.collect())
+    assert sorted(got) == [0] + list(range(2, 10))
+    for jid, outcome in got.items():
+        assert_standalone(outcome, jobs[jid], NP_CODE, np_config())
